@@ -1,8 +1,10 @@
-// Scenario harness runner: replays catalog (or all) scenarios and emits
-// BENCH_scenarios.json with per-scenario stats, event-log fingerprints and
-// any invariant violations.
+// Scenario harness runner: replays scenarios from both catalogs — the five
+// single-index ones (scenario/catalog.h) and the two sharded ones
+// (shard/shard_scenario.h) — and emits BENCH_scenarios.json with every run's
+// stats, event-log fingerprint and invariant violations.
 //
 //   ./build/bench_scenarios --scenario=market_open_burst --seed=42
+//   ./build/bench_scenarios --scenario=shard_brownout
 //   ./build/bench_scenarios --scenario=all --mode=concurrent
 //   ./build/bench_scenarios --list
 //
@@ -20,25 +22,24 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json_writer.h"
-#include "scenario/catalog.h"
 #include "scenario/driver.h"
-#include "scenario/scenario.h"
+#include "shard/shard_scenario.h"
 #include "util/timer.h"
 
 namespace {
 
-using mbi::scenario::CatalogNames;
-using mbi::scenario::GetScenario;
 using mbi::scenario::RunMode;
 using mbi::scenario::RunModeName;
 using mbi::scenario::RunOptions;
-using mbi::scenario::RunScenario;
 using mbi::scenario::ScenarioOutcome;
-using mbi::scenario::ScenarioSpec;
+using mbi::scenario::ScenarioStats;
 using mbi::scenario::Violation;
+using mbi::shard::AllCatalogNames;
+using mbi::shard::RunCatalogScenario;
 
 struct Flags {
   std::string scenario = "all";
@@ -99,42 +100,39 @@ void WriteOutcomeJson(mbi::obs::JsonWriter* w, const ScenarioOutcome& o,
   w->Key("run_seconds");
   w->Double(run_seconds);
 
+  const ScenarioStats& st = o.stats;
   w->Key("stats");
   w->BeginObject();
-  w->Key("add_ops");
-  w->Uint(o.stats.add_ops);
-  w->Key("queries");
-  w->Uint(o.stats.queries);
-  w->Key("complete");
-  w->Uint(o.stats.complete);
-  w->Key("degraded");
-  w->Uint(o.stats.degraded);
-  w->Key("shed");
-  w->Uint(o.stats.shed);
-  w->Key("checkpoints_committed");
-  w->Uint(o.stats.checkpoints_committed);
-  w->Key("checkpoint_faults");
-  w->Uint(o.stats.checkpoint_faults);
-  w->Key("crashes");
-  w->Uint(o.stats.crashes);
-  w->Key("recoveries");
-  w->Uint(o.stats.recoveries);
-  w->Key("overload_bursts");
-  w->Uint(o.stats.overload_bursts);
-  w->Key("final_size");
-  w->Uint(o.stats.final_size);
-  w->Key("final_blocks");
-  w->Uint(o.stats.final_blocks);
-  w->Key("inflight_high_water");
-  w->Uint(o.stats.inflight_high_water);
+  for (const auto& [key, value] : {
+           std::pair<const char*, size_t>{"add_ops", st.add_ops},
+           {"queries", st.queries},
+           {"complete", st.complete},
+           {"degraded", st.degraded},
+           {"shed", st.shed},
+           {"checkpoints_committed", st.checkpoints_committed},
+           {"checkpoint_faults", st.checkpoint_faults},
+           {"crashes", st.crashes},
+           {"recoveries", st.recoveries},
+           {"overload_bursts", st.overload_bursts},
+           {"final_size", st.final_size},
+           {"final_blocks", st.final_blocks},
+           {"inflight_high_water", st.inflight_high_water},
+           {"recall_samples", st.recall_samples},
+           {"overshoot_samples", st.overshoot_samples},
+           {"hedges", st.hedges},
+           {"shard_retries", st.shard_retries},
+           {"quarantines", st.quarantines},
+           {"partial_results", st.partial_results},
+       }) {
+    w->Key(key);
+    w->Uint(value);
+  }
   w->Key("recall_mean");
-  w->Double(o.stats.recall_mean);
-  w->Key("recall_samples");
-  w->Uint(o.stats.recall_samples);
+  w->Double(st.recall_mean);
   w->Key("p99_overshoot");
-  w->Double(o.stats.p99_overshoot);
-  w->Key("overshoot_samples");
-  w->Uint(o.stats.overshoot_samples);
+  w->Double(st.p99_overshoot);
+  w->Key("wall_seconds");
+  w->Double(st.wall_seconds);
   w->EndObject();
 
   w->Key("violations");
@@ -157,7 +155,7 @@ int main(int argc, char** argv) {
   Flags flags;
   if (!ParseFlags(argc, argv, &flags)) return 2;
   if (flags.list) {
-    for (const std::string& name : CatalogNames()) {
+    for (const std::string& name : AllCatalogNames()) {
       std::printf("%s\n", name.c_str());
     }
     return 0;
@@ -167,7 +165,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> names;
   if (flags.scenario == "all") {
-    names = CatalogNames();
+    names = AllCatalogNames();
   } else {
     names.push_back(flags.scenario);
   }
@@ -192,21 +190,18 @@ int main(int argc, char** argv) {
 
   bool all_ok = true;
   for (const std::string& name : names) {
-    mbi::Result<ScenarioSpec> spec = GetScenario(name, flags.seed, flags.soak);
-    if (!spec.ok()) {
-      std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-      return 2;
-    }
     for (RunMode mode : modes) {
       RunOptions opts;
       opts.mode = mode;
       if (mode == RunMode::kConcurrent) {
         // Make per-query work expensive enough that deadlines and admission
-        // pressure actually bite (see RunOptions).
+        // pressure actually bite (see RunOptions). The sharded driver
+        // injects its own probe delays and ignores this.
         opts.injected_distance_delay_nanos = 2000;
       }
       mbi::WallTimer timer;
-      mbi::Result<ScenarioOutcome> run = RunScenario(spec.value(), opts);
+      mbi::Result<ScenarioOutcome> run =
+          RunCatalogScenario(name, flags.seed, flags.soak, opts);
       const double seconds = timer.ElapsedSeconds();
       if (!run.ok()) {
         std::fprintf(stderr, "%s [%s]: harness failure: %s\n", name.c_str(),
@@ -216,12 +211,14 @@ int main(int argc, char** argv) {
       const ScenarioOutcome& o = run.value();
       std::printf(
           "%-22s %-13s %5.2fs  adds=%zu queries=%zu degraded=%zu shed=%zu "
-          "ckpts=%zu faults=%zu crashes=%zu recall=%.3f/%zu  fp=%08x  %s\n",
+          "ckpts=%zu faults=%zu crashes=%zu hedges=%zu partial=%zu "
+          "recall=%.3f/%zu  fp=%08x  %s\n",
           o.name.c_str(), RunModeName(mode), seconds, o.stats.add_ops,
           o.stats.queries, o.stats.degraded, o.stats.shed,
           o.stats.checkpoints_committed, o.stats.checkpoint_faults,
-          o.stats.crashes, o.stats.recall_mean, o.stats.recall_samples,
-          o.log.Fingerprint(), o.ok() ? "OK" : "VIOLATIONS");
+          o.stats.crashes, o.stats.hedges, o.stats.partial_results,
+          o.stats.recall_mean, o.stats.recall_samples, o.log.Fingerprint(),
+          o.ok() ? "OK" : "VIOLATIONS");
       if (!o.ok()) {
         all_ok = false;
         std::printf("%s", o.ViolationSummary().c_str());

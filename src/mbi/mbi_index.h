@@ -301,12 +301,12 @@ class MbiIndex {
   Status Save(const std::string& path,
               persist::FileSystem* fs = nullptr) const;
 
-  /// Loads an index previously written by Save — current (MBIX0002) or
-  /// legacy (MBIX0001) format. Every length field is validated against the
-  /// remaining file size before allocation and every section checksum is
-  /// verified, so corruption yields a clean non-OK Status (never a crash,
-  /// OOM or silently wrong index). Blocks the saved snapshot had not yet
-  /// covered are rebuilt deterministically.
+  /// Loads an index previously written by Save (format MBIX0002). Every
+  /// length field is validated against the remaining file size before
+  /// allocation and every section checksum is verified, so corruption yields
+  /// a clean non-OK Status (never a crash, OOM or silently wrong index).
+  /// Blocks the saved snapshot had not yet covered are rebuilt
+  /// deterministically.
   static Result<std::unique_ptr<MbiIndex>> Load(
       const std::string& path, persist::FileSystem* fs = nullptr);
 

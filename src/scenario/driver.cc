@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <thread>
@@ -15,8 +14,6 @@
 #include "data/synthetic.h"
 #include "eval/recall.h"
 #include "mbi/mbi_index.h"
-#include "obs/metrics.h"
-#include "persist/crc32c.h"
 #include "persist/fault_injection.h"
 #include "persist/file.h"
 #include "util/budget.h"
@@ -26,13 +23,10 @@
 #include "util/timer.h"
 
 namespace mbi::scenario {
-namespace {
 
 namespace stdfs = std::filesystem;
 
-// Query vectors shared by every phase; individual queries draw an index into
-// this pool, so replay cost stays independent of query volume.
-constexpr size_t kQueryPoolSize = 64;
+namespace {
 
 // Virtual nanoseconds the deterministic driver advances per operation. Any
 // fixed schedule works — it only has to be the same on every replay.
@@ -45,63 +39,6 @@ uint64_t WorkCapForBudgetClass(double d) {
   const long long cap = std::llround(d * 1e6);
   return static_cast<uint64_t>(std::max(16LL, cap));
 }
-
-// Content hash of a result list: neighbor ids and the raw bit patterns of
-// their distances. Two results hash equal iff they are bit-identical.
-uint64_t HashResult(const SearchResult& result) {
-  uint32_t crc = 0;
-  for (const Neighbor& nb : result) {
-    unsigned char buf[12];
-    std::memcpy(buf, &nb.id, 8);
-    std::memcpy(buf + 8, &nb.distance, 4);
-    crc = persist::Crc32cExtend(crc, buf, sizeof(buf));
-  }
-  return (static_cast<uint64_t>(result.size()) << 32) | crc;
-}
-
-uint64_t PackQueryMeta(const SearchResult& result, size_t k) {
-  return static_cast<uint64_t>(result.completion) |
-         (static_cast<uint64_t>(k) << 8) |
-         (static_cast<uint64_t>(result.size()) << 24);
-}
-
-// The process-wide obs counters invariant I5 reconciles against.
-struct CounterProbe {
-  obs::Counter* queries;
-  obs::Counter* degraded;
-  obs::Counter* shed;
-  obs::Counter* invalid;
-
-  static CounterProbe Get() {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-    return CounterProbe{
-        reg.GetCounter("mbi_queries_total"),
-        reg.GetCounter("mbi_query_degraded_total"),
-        reg.GetCounter("mbi_query_shed_total"),
-        reg.GetCounter("mbi_query_invalid_total"),
-    };
-  }
-};
-
-struct CounterBaseline {
-  uint64_t queries = 0;
-  uint64_t degraded = 0;
-  uint64_t shed = 0;
-  uint64_t invalid = 0;
-};
-
-// Per-reader-thread aggregates, merged by the driver after the pool joins so
-// the readers themselves stay lock-free.
-struct ThreadAgg {
-  size_t issued = 0;    // attempts, including shed ones
-  size_t shed = 0;
-  size_t degraded = 0;
-  size_t complete = 0;
-  size_t view_calls = 0;  // extra SearchView calls (recall sampling)
-  MeanSink recall;
-  PercentileSink overshoot;
-  std::vector<Violation> violations;
-};
 
 class Driver {
  public:
@@ -126,9 +63,6 @@ class Driver {
     return p;
   }
 
-  Status Setup();
-  void Teardown();
-
   void RunPhaseDeterministic(uint32_t pi, const PhaseSpec& p);
   void RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p);
 
@@ -140,7 +74,7 @@ class Driver {
 
   void DeterministicQuery(uint32_t pi, const PhaseSpec& p);
   void ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
-                  const std::atomic<bool>* stop, ThreadAgg* agg);
+                  const std::atomic<bool>* stop, QueryTally* agg);
   void OverloadBurst(uint32_t pi, const PhaseSpec& p);
 
   // Draws one query's parameters from `rng`; returns false when the index is
@@ -154,7 +88,16 @@ class Driver {
   };
   bool DrawQuery(const PhaseSpec& p, size_t committed, Rng* rng, QueryDraw* out);
 
-  void CheckEndOfRun(const CounterBaseline& base);
+  // A phase's size thresholds: its scheduled checkpoints, evenly spaced,
+  // and its crash point (0 = none), which takes one sched_rng_ draw.
+  struct PhasePlan {
+    size_t end_size = 0;
+    std::vector<size_t> ckpt_at;
+    size_t crash_at = 0;
+  };
+  PhasePlan PlanPhase(const PhaseSpec& p);
+
+  void CheckEndOfRun(const CounterDeltas& counters);
   void AddViolation(InvariantId id, std::string detail) {
     outcome_.violations.push_back(Violation{id, std::move(detail)});
     outcome_.log.Append(EventKind::kInvariant, current_phase_,
@@ -169,17 +112,13 @@ class Driver {
   const RunOptions opts_;
   ScenarioOutcome outcome_;
 
-  SyntheticData data_;
-  std::vector<float> query_pool_;
+  RunFixture fixture_;
   std::unique_ptr<MbiIndex> index_;
 
   Rng query_rng_;
   Rng sched_rng_;
   persist::FaultScheduleGenerator faultgen_;
   persist::FaultInjectingFileSystem faultfs_;
-
-  std::string ckpt_dir_;
-  bool own_work_dir_ = false;
 
   VirtualClock vclock_;
 
@@ -189,58 +128,16 @@ class Driver {
   std::atomic<size_t> last_acked_{0};
 
   // Driver-side tallies (deterministic mode and post-join merges only).
-  size_t issued_ = 0;
-  size_t shed_ = 0;
-  size_t degraded_ = 0;
-  size_t complete_ = 0;
-  size_t view_calls_ = 0;
+  QueryTally tally_;
   uint64_t query_ordinal_ = 0;
   size_t high_water_peak_ = 0;
-  MeanSink recall_;
-  PercentileSink overshoot_;
   uint32_t current_phase_ = 0;
 };
 
-Status Driver::Setup() {
-  if (opts_.work_dir.empty()) {
-    const std::string leaf = "mbi_scenario_" + spec_.name + "_" +
-                             std::to_string(spec_.seed) + "_" +
-                             std::to_string(static_cast<long>(::getpid()));
-    std::error_code ec;
-    const stdfs::path dir = stdfs::temp_directory_path(ec) / leaf;
-    if (ec) return Status::IoError("no temp directory: " + ec.message());
-    stdfs::remove_all(dir, ec);
-    ckpt_dir_ = dir.string();
-    own_work_dir_ = true;
-  } else {
-    ckpt_dir_ = opts_.work_dir;
-  }
-  std::error_code ec;
-  stdfs::create_directories(ckpt_dir_, ec);
-  if (ec) return Status::IoError("cannot create " + ckpt_dir_ + ": " +
-                                 ec.message());
-
-  SyntheticParams gen;
-  gen.dim = spec_.dim;
-  gen.seed = DeriveSeed(spec_.seed, SeedStream::kData);
-  const size_t total = spec_.TotalAdds();
-  data_ = GenerateSynthetic(gen, total);
-  query_pool_ = GenerateQueries(gen, kQueryPoolSize);
-
-  index_ = std::make_unique<MbiIndex>(spec_.dim, spec_.metric, spec_.index);
-  return Status::Ok();
-}
-
-void Driver::Teardown() {
-  if (own_work_dir_ && !ckpt_dir_.empty()) {
-    std::error_code ec;
-    stdfs::remove_all(ckpt_dir_, ec);  // best-effort cleanup
-  }
-}
-
 Status Driver::DoAdd() {
   const size_t row = index_->size();
-  Status st = index_->Add(data_.vector(row), data_.timestamps[row]);
+  const SyntheticData& data = fixture_.data();
+  Status st = index_->Add(data.vector(row), data.timestamps[row]);
   if (!st.ok()) return st;
   ++outcome_.stats.add_ops;
   return Status::Ok();
@@ -249,23 +146,14 @@ Status Driver::DoAdd() {
 bool Driver::DrawQuery(const PhaseSpec& p, size_t committed, Rng* rng,
                        QueryDraw* out) {
   if (committed == 0) return false;
-  out->vector = query_pool_.data() +
-                rng->NextBounded(kQueryPoolSize) * spec_.dim;
+  out->vector = fixture_.DrawQueryVector(rng);
   const double frac =
       p.mix.window_fractions[rng->NextBounded(p.mix.window_fractions.size())];
   out->k = p.mix.ks[rng->NextBounded(p.mix.ks.size())];
   out->budget_class =
       p.mix.budget_classes[rng->NextBounded(p.mix.budget_classes.size())];
   out->ctx_seed = rng->Next();
-
-  // Synthetic timestamps are 0..n-1, so the committed time range is exactly
-  // [0, committed); place a frac-length window uniformly inside it.
-  const auto span = static_cast<Timestamp>(committed);
-  const Timestamp len = std::max<Timestamp>(
-      1, static_cast<Timestamp>(std::llround(frac * static_cast<double>(span))));
-  const Timestamp start = static_cast<Timestamp>(
-      rng->NextBounded(static_cast<uint64_t>(span - len + 1)));
-  out->window = TimeWindow{start, start + len};
+  out->window = PlaceWindow(frac, committed, rng);
   return true;
 }
 
@@ -293,12 +181,8 @@ void Driver::DeterministicQuery(uint32_t pi, const PhaseSpec& p) {
   const size_t view_size = index_->size();
   const SearchResult result =
       index_->Search(q.vector, q.window, sp, &ctx, &qstats);
-  ++issued_;
-  if (result.degraded()) {
-    ++degraded_;
-  } else {
-    ++complete_;
-  }
+  ++tally_.queries;
+  tally_.CountResult(result);
 
   // I4: every result, complete or degraded, must be internally valid.
   const std::string bad = CheckResultValidity(index_->store(), view_size,
@@ -322,7 +206,7 @@ void Driver::DeterministicQuery(uint32_t pi, const PhaseSpec& p) {
       query_ordinal_ % spec_.bounds.oracle_sample_every == 0) {
     const SearchResult exact = ExactOracleTopK(index_->store(), view_size,
                                                q.vector, q.k, q.window);
-    recall_.Add(RecallAtK(result, exact, q.k));
+    tally_.recall.Add(RecallAtK(result, exact, q.k));
   }
   vclock_.AdvanceNanos(kVirtualNanosPerQuery);
 }
@@ -335,7 +219,7 @@ void Driver::DoCheckpoint(uint32_t pi, bool inject, EventLog* log) {
     faultfs_.SetPlan(faultgen_.Next());
     fs = &faultfs_;
   }
-  Status st = index_->Checkpoint(ckpt_dir_, fs);
+  Status st = index_->Checkpoint(fixture_.work_dir(), fs);
   const bool zombied = inject && faultfs_.crashed();
   if (inject) faultfs_.SetPlan(persist::FaultPlan{});
   if (st.ok() && !zombied) {
@@ -363,7 +247,8 @@ void Driver::DoCrashRecover(uint32_t pi) {
   index_.reset();  // the "process dies"
 
   // Reboot: recover from whatever is durably on disk, through the real FS.
-  Result<std::unique_ptr<MbiIndex>> rec = MbiIndex::Recover(ckpt_dir_);
+  Result<std::unique_ptr<MbiIndex>> rec =
+      MbiIndex::Recover(fixture_.work_dir());
   if (!rec.ok()) {
     if (acked > 0) {
       AddViolation(InvariantId::kNoLostAckedWrites,
@@ -386,42 +271,41 @@ void Driver::DoCrashRecover(uint32_t pi) {
                      std::to_string(acked));
   }
   // Bit-exactness: everything recovered must match what was ingested.
-  for (size_t i = 0; i < recovered; ++i) {
-    if (index_->store().GetTimestamp(static_cast<VectorId>(i)) !=
-            data_.timestamps[i] ||
-        std::memcmp(index_->store().GetVector(static_cast<VectorId>(i)),
-                    data_.vector(i), spec_.dim * sizeof(float)) != 0) {
-      AddViolation(InvariantId::kNoLostAckedWrites,
-                   "recovered vector " + std::to_string(i) +
-                       " differs from the ingested one");
-      lost = true;
-      break;
-    }
+  const size_t bad_row =
+      FirstDifferingRow(index_->store(), recovered, fixture_.data());
+  if (bad_row < recovered) {
+    AddViolation(InvariantId::kNoLostAckedWrites,
+                 "recovered vector " + std::to_string(bad_row) +
+                     " differs from the ingested one");
+    lost = true;
   }
   if (!lost) PassInvariant(InvariantId::kNoLostAckedWrites);
   outcome_.log.Append(EventKind::kRecover, pi, recovered);
   ++outcome_.stats.recoveries;
 }
 
-void Driver::RunPhaseDeterministic(uint32_t pi, const PhaseSpec& p) {
+Driver::PhasePlan Driver::PlanPhase(const PhaseSpec& p) {
   const size_t start_size = index_->size();
-  const size_t end_size = start_size + p.adds;
-
-  // Size thresholds for scheduled checkpoints, evenly spaced in the phase.
-  std::vector<size_t> ckpt_at;
+  PhasePlan plan;
+  plan.end_size = start_size + p.adds;
   for (size_t j = 1; j <= p.checkpoints; ++j) {
     size_t off = p.adds * j / (p.checkpoints + 1);
-    ckpt_at.push_back(start_size + std::max<size_t>(1, off));
+    plan.ckpt_at.push_back(start_size + std::max<size_t>(1, off));
   }
   // Crash strictly after the first scheduled checkpoint so there is
   // something durable to recover (Validate guarantees checkpoints >= 1).
-  size_t crash_at = 0;
   if (p.crash_and_recover && p.adds > 0) {
-    size_t lo = ckpt_at.empty() ? start_size + 1 : ckpt_at.front() + 1;
-    lo = std::min(lo, end_size);  // a checkpoint can land on the last add
-    crash_at = lo + sched_rng_.NextBounded(end_size - lo + 1);
+    size_t lo =
+        plan.ckpt_at.empty() ? start_size + 1 : plan.ckpt_at.front() + 1;
+    // A checkpoint can land on the last add.
+    lo = std::min(lo, plan.end_size);
+    plan.crash_at = lo + sched_rng_.NextBounded(plan.end_size - lo + 1);
   }
+  return plan;
+}
 
+void Driver::RunPhaseDeterministic(uint32_t pi, const PhaseSpec& p) {
+  const auto [end_size, ckpt_at, crash_at] = PlanPhase(p);
   size_t next_ckpt = 0;
   bool crashed = false;
   double credit = 0.0;
@@ -458,7 +342,7 @@ void Driver::RunPhaseDeterministic(uint32_t pi, const PhaseSpec& p) {
 }
 
 void Driver::ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
-                        const std::atomic<bool>* stop, ThreadAgg* agg) {
+                        const std::atomic<bool>* stop, QueryTally* agg) {
   Rng rng(thread_seed);
   QueryContext ctx(rng.Next());
   size_t ordinal = 0;
@@ -477,26 +361,22 @@ void Driver::ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
     }
     MbiQueryStats qstats;
     WallTimer timer;
-    ++agg->issued;
+    ++agg->queries;
     Result<SearchResult> res =
         index_->SearchAdmitted(q.vector, q.window, sp, &ctx, &qstats);
     if (!res.ok()) {
       if (res.status().code() == StatusCode::kResourceExhausted) {
         ++agg->shed;
-      } else if (agg->violations.size() < 8) {
-        agg->violations.push_back(Violation{
+      } else {
+        agg->AddViolation(
             InvariantId::kResultValidity,
-            "unexpected SearchAdmitted error: " + res.status().ToString()});
+            "unexpected SearchAdmitted error: " + res.status().ToString());
       }
       continue;
     }
     const double elapsed = timer.ElapsedSeconds();
     const SearchResult& result = res.value();
-    if (result.degraded()) {
-      ++agg->degraded;
-    } else {
-      ++agg->complete;
-    }
+    agg->CountResult(result);
     if (q.budget_class > 0.0) {
       agg->overshoot.Add(elapsed / q.budget_class);
     }
@@ -505,16 +385,14 @@ void Driver::ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
     const size_t bound = index_->size();
     const std::string bad = CheckResultValidity(
         index_->store(), bound, q.window, q.vector, q.k, result);
-    if (!bad.empty() && agg->violations.size() < 8) {
-      agg->violations.push_back(
-          Violation{InvariantId::kResultValidity,
-                    "phase " + p.name + " reader query: " + bad});
+    if (!bad.empty()) {
+      agg->AddViolation(InvariantId::kResultValidity,
+                        "phase " + p.name + " reader query: " + bad);
     }
-    if (qstats.blocks_searched != qstats.graph_blocks + qstats.exact_blocks &&
-        agg->violations.size() < 8) {
-      agg->violations.push_back(
-          Violation{InvariantId::kMetricsConsistency,
-                    "blocks_searched != graph + exact in phase " + p.name});
+    if (qstats.blocks_searched != qstats.graph_blocks + qstats.exact_blocks) {
+      agg->AddViolation(InvariantId::kMetricsConsistency,
+                        "blocks_searched != graph + exact in phase " +
+                            p.name);
     }
 
     // I2 sampling, against the same pinned view the query would have seen.
@@ -573,32 +451,21 @@ void Driver::OverloadBurst(uint32_t pi, const PhaseSpec& p) {
     });
   }
   burst.Wait();
-  issued_ += issued.load();
-  shed_ += shed.load();
-  degraded_ += degraded.load();
-  complete_ += issued.load() - shed.load() - degraded.load();
+  tally_.queries += issued.load();
+  tally_.shed += shed.load();
+  tally_.degraded += degraded.load();
+  tally_.complete += issued.load() - shed.load() - degraded.load();
   ++outcome_.stats.overload_bursts;
   outcome_.log.Append(EventKind::kOverloadBurst, pi, issued.load(),
                       shed.load());
 }
 
 void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
-  const size_t start_size = index_->size();
-  const size_t end_size = start_size + p.adds;
-
-  std::vector<size_t> ckpt_at;
-  for (size_t j = 1; j <= p.checkpoints; ++j) {
-    size_t off = p.adds * j / (p.checkpoints + 1);
-    ckpt_at.push_back(start_size + std::max<size_t>(1, off));
-  }
-  size_t crash_at = 0;
-  if (p.crash_and_recover && p.adds > 0) {
-    size_t lo = ckpt_at.empty() ? start_size + 1 : ckpt_at.front() + 1;
-    lo = std::min(lo, end_size);
-    crash_at = lo + sched_rng_.NextBounded(end_size - lo + 1);
-  }
   const size_t burst_at =
-      p.overload_factor > 0.0 ? start_size + p.adds / 2 : 0;
+      p.overload_factor > 0.0 ? index_->size() + p.adds / 2 : 0;
+  const PhasePlan plan = PlanPhase(p);
+  const size_t end_size = plan.end_size;
+  const size_t crash_at = plan.crash_at;
 
   size_t next_ckpt = 0;
   bool crashed = false;
@@ -614,14 +481,14 @@ void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
                                    ? std::min(end_size, crash_at)
                                    : end_size;
     std::atomic<bool> stop{false};
-    std::vector<ThreadAgg> aggs(p.query_threads);
+    std::vector<QueryTally> aggs(p.query_threads);
     EventLog ckpt_log;
 
     ThreadPool pool(p.query_threads + 1);
     for (size_t t = 0; t < p.query_threads; ++t) {
       const uint64_t seed =
           DeriveSeed(spec_.seed, SeedStream::kThreads, pi * 101 + t);
-      ThreadAgg* agg = &aggs[t];
+      QueryTally* agg = &aggs[t];
       pool.Submit([this, &p, seed, &stop, agg] {
         ReaderLoop(p, seed, &stop, agg);
       });
@@ -629,10 +496,10 @@ void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
     // Checkpointer: fires each scheduled checkpoint once its size threshold
     // is reached. Owns next_ckpt and ckpt_log for the segment; the driver
     // thread touches them only after Wait().
-    pool.Submit([this, pi, &p, &stop, &ckpt_at, &next_ckpt, &ckpt_log] {
+    pool.Submit([this, pi, &p, &stop, &plan, &next_ckpt, &ckpt_log] {
       while (!stop.load(std::memory_order_acquire)) {
-        if (next_ckpt < ckpt_at.size() &&
-            index_->size() >= ckpt_at[next_ckpt]) {
+        if (next_ckpt < plan.ckpt_at.size() &&
+            index_->size() >= plan.ckpt_at[next_ckpt]) {
           DoCheckpoint(pi, p.inject_checkpoint_faults, &ckpt_log);
           ++next_ckpt;
         } else {
@@ -658,14 +525,8 @@ void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
     pool.Wait();
 
     // Merge what the workers saw.
-    for (ThreadAgg& a : aggs) {
-      issued_ += a.issued;
-      shed_ += a.shed;
-      degraded_ += a.degraded;
-      complete_ += a.complete;
-      view_calls_ += a.view_calls;
-      recall_.MergeFrom(a.recall);
-      overshoot_.MergeFrom(a.overshoot);
+    for (QueryTally& a : aggs) {
+      tally_.MergeFrom(a);
       for (Violation& v : a.violations) {
         outcome_.violations.push_back(std::move(v));
       }
@@ -679,16 +540,15 @@ void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
   }
 }
 
-void Driver::CheckEndOfRun(const CounterBaseline& base) {
+void Driver::CheckEndOfRun(const CounterDeltas& counters) {
   // I2: recall floor over the sampled unbounded queries.
-  outcome_.stats.recall_mean = recall_.Mean();
-  outcome_.stats.recall_samples = recall_.count();
-  if (recall_.count() > 0) {
-    if (recall_.Mean() < spec_.bounds.recall_floor) {
+  const MeanSink& recall = tally_.recall;
+  if (recall.count() > 0) {
+    if (recall.Mean() < spec_.bounds.recall_floor) {
       AddViolation(InvariantId::kRecallFloor,
-                   "mean recall " + std::to_string(recall_.Mean()) + " < " +
+                   "mean recall " + std::to_string(recall.Mean()) + " < " +
                        std::to_string(spec_.bounds.recall_floor) + " over " +
-                       std::to_string(recall_.count()) + " samples");
+                       std::to_string(recall.count()) + " samples");
     } else {
       PassInvariant(InvariantId::kRecallFloor);
     }
@@ -696,59 +556,32 @@ void Driver::CheckEndOfRun(const CounterBaseline& base) {
 
   // I3: p99 deadline overshoot — only meaningful when an injected delay
   // makes per-unit work dominate scheduler noise.
-  outcome_.stats.p99_overshoot = overshoot_.Quantile(0.99);
-  outcome_.stats.overshoot_samples = overshoot_.count();
+  const size_t overshoots = tally_.overshoot.count();
   constexpr size_t kMinOvershootSamples = 20;
   if (opts_.mode == RunMode::kConcurrent &&
       opts_.injected_distance_delay_nanos > 0 &&
-      overshoot_.count() >= kMinOvershootSamples) {
+      overshoots >= kMinOvershootSamples) {
     if (outcome_.stats.p99_overshoot > spec_.bounds.p99_overshoot_factor) {
       AddViolation(InvariantId::kDeadlineOvershoot,
                    "p99 overshoot " +
                        std::to_string(outcome_.stats.p99_overshoot) + " > " +
                        std::to_string(spec_.bounds.p99_overshoot_factor) +
-                       " over " + std::to_string(overshoot_.count()) +
-                       " samples");
+                       " over " + std::to_string(overshoots) + " samples");
     } else {
       PassInvariant(InvariantId::kDeadlineOvershoot);
     }
   }
 
   // I5: the process-wide obs counters must have moved exactly as many times
-  // as the driver observed the corresponding outcome.
-  const CounterProbe probe = CounterProbe::Get();
-  const uint64_t dq = probe.queries->Value() - base.queries;
-  const uint64_t dd = probe.degraded->Value() - base.degraded;
-  const uint64_t ds = probe.shed->Value() - base.shed;
-  const uint64_t di = probe.invalid->Value() - base.invalid;
-  const uint64_t expect_q =
-      static_cast<uint64_t>(issued_ - shed_ + view_calls_);
-  bool i5_ok = true;
-  if (dq != expect_q) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_queries_total moved " + std::to_string(dq) +
-                     ", driver observed " + std::to_string(expect_q));
-    i5_ok = false;
+  // as the driver observed the corresponding outcome (no invalid query is
+  // ever issued).
+  const std::vector<std::string> mismatches = counters.Mismatches(
+      {tally_.queries - tally_.shed + tally_.view_calls, tally_.degraded,
+       tally_.shed, 0});
+  for (const std::string& m : mismatches) {
+    AddViolation(InvariantId::kMetricsConsistency, m);
   }
-  if (dd != degraded_) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_query_degraded_total moved " + std::to_string(dd) +
-                     ", driver observed " + std::to_string(degraded_));
-    i5_ok = false;
-  }
-  if (ds != shed_) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_query_shed_total moved " + std::to_string(ds) +
-                     ", driver observed " + std::to_string(shed_));
-    i5_ok = false;
-  }
-  if (di != 0) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "mbi_query_invalid_total moved " + std::to_string(di) +
-                     " though no invalid query was issued");
-    i5_ok = false;
-  }
-  if (i5_ok) PassInvariant(InvariantId::kMetricsConsistency);
+  if (mismatches.empty()) PassInvariant(InvariantId::kMetricsConsistency);
 
   // I6: admission never exceeded the configured limit (across every index
   // incarnation the run went through).
@@ -769,15 +602,17 @@ void Driver::CheckEndOfRun(const CounterBaseline& base) {
 
 Result<ScenarioOutcome> Driver::Run() {
   MBI_RETURN_IF_ERROR(spec_.Validate());
-  MBI_RETURN_IF_ERROR(Setup());
+  MBI_RETURN_IF_ERROR(fixture_.Setup(spec_.name, spec_.seed, spec_.dim,
+                                     spec_.TotalAdds(), opts_));
+  index_ = std::make_unique<MbiIndex>(spec_.dim, spec_.metric, spec_.index);
 
   outcome_.name = spec_.name;
   outcome_.seed = spec_.seed;
   outcome_.mode = opts_.mode;
 
-  const CounterProbe probe = CounterProbe::Get();
-  CounterBaseline base{probe.queries->Value(), probe.degraded->Value(),
-                       probe.shed->Value(), probe.invalid->Value()};
+  const CounterDeltas counters(
+      {"mbi_queries_total", "mbi_query_degraded_total", "mbi_query_shed_total",
+       "mbi_query_invalid_total"});
 
   // Physical wall time for the stats block only — never logged, so it does
   // not affect replay determinism.
@@ -806,20 +641,15 @@ Result<ScenarioOutcome> Driver::Run() {
   }
 
   index_->FinishPendingBuilds();
-  CheckEndOfRun(base);
+  tally_.FoldInto(&outcome_.stats);
+  CheckEndOfRun(counters);
 
-  outcome_.stats.queries = issued_;
-  outcome_.stats.complete = complete_;
-  outcome_.stats.degraded = degraded_;
-  outcome_.stats.shed = shed_;
   outcome_.stats.final_size = index_->size();
   outcome_.stats.final_blocks = index_->num_blocks();
   const PhysicalClock::time_point wall_end =
       PhysicalClock::now();  // mbi-lint: allow(wall-clock) — stats-only
   outcome_.stats.wall_seconds =
       std::chrono::duration<double>(wall_end - wall_start).count();
-
-  Teardown();
   return std::move(outcome_);
 }
 
@@ -838,6 +668,105 @@ Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
                                     const RunOptions& options) {
   Driver driver(spec, options);
   return driver.Run();
+}
+
+// ---------------------------------------------------------------------------
+// Shared harness parts
+
+// Query vectors per run; queries draw an index into this pool, so replay
+// cost stays independent of query volume.
+constexpr size_t kQueryPoolSize = 64;
+
+RunFixture::~RunFixture() {
+  if (own_work_dir_) {
+    std::error_code ec;
+    stdfs::remove_all(work_dir_, ec);  // best-effort cleanup
+  }
+}
+
+Status RunFixture::Setup(const std::string& name, uint64_t seed, size_t dim,
+                         size_t rows, const RunOptions& options) {
+  if (options.work_dir.empty()) {
+    const std::string leaf = "mbi_scenario_" + name + "_" +
+                             std::to_string(seed) + "_" +
+                             std::to_string(static_cast<long>(::getpid()));
+    std::error_code ec;
+    const stdfs::path dir = stdfs::temp_directory_path(ec) / leaf;
+    if (ec) return Status::IoError("no temp directory: " + ec.message());
+    stdfs::remove_all(dir, ec);
+    work_dir_ = dir.string();
+    own_work_dir_ = true;
+  } else {
+    work_dir_ = options.work_dir;
+  }
+  std::error_code ec;
+  stdfs::create_directories(work_dir_, ec);
+  if (ec) {
+    return Status::IoError("cannot create " + work_dir_ + ": " +
+                           ec.message());
+  }
+
+  SyntheticParams gen;
+  gen.dim = dim;
+  gen.seed = DeriveSeed(seed, SeedStream::kData);
+  data_ = GenerateSynthetic(gen, rows);
+  query_pool_ = GenerateQueries(gen, kQueryPoolSize);
+  return Status::Ok();
+}
+
+const float* RunFixture::DrawQueryVector(Rng* rng) const {
+  return query_pool_.data() + rng->NextBounded(kQueryPoolSize) * data_.dim;
+}
+
+TimeWindow PlaceWindow(double frac, size_t committed, Rng* rng) {
+  const auto n = static_cast<Timestamp>(committed);
+  const Timestamp len = std::max<Timestamp>(
+      1, std::llround(frac * static_cast<double>(n)));
+  const auto start = static_cast<Timestamp>(
+      rng->NextBounded(static_cast<uint64_t>(n - std::min(len, n) + 1)));
+  return TimeWindow{start, start + len};
+}
+
+uint64_t PackQueryMeta(const SearchResult& result, size_t k,
+                       size_t shards_ok, size_t shards_selected,
+                       size_t hedges) {
+  return static_cast<uint64_t>(result.completion) |
+         (static_cast<uint64_t>(k & 0xFFFF) << 8) |
+         (static_cast<uint64_t>(result.size() & 0xFFFF) << 24) |
+         (static_cast<uint64_t>(shards_ok & 0xFF) << 40) |
+         (static_cast<uint64_t>(shards_selected & 0xFF) << 48) |
+         (static_cast<uint64_t>(hedges & 0xFF) << 56);
+}
+
+void QueryTally::AddViolation(InvariantId id, std::string detail) {
+  if (violations.size() < 8) violations.push_back({id, std::move(detail)});
+}
+
+void QueryTally::MergeFrom(const QueryTally& other) {
+  queries += other.queries;
+  complete += other.complete;
+  degraded += other.degraded;
+  shed += other.shed;
+  view_calls += other.view_calls;
+  hedges += other.hedges;
+  shard_retries += other.shard_retries;
+  partial_results += other.partial_results;
+  recall.MergeFrom(other.recall);
+  overshoot.MergeFrom(other.overshoot);
+}
+
+void QueryTally::FoldInto(ScenarioStats* stats) const {
+  stats->queries = queries;
+  stats->complete = complete;
+  stats->degraded = degraded;
+  stats->shed = shed;
+  stats->hedges = hedges;
+  stats->shard_retries = shard_retries;
+  stats->partial_results = partial_results;
+  stats->recall_mean = recall.Mean();
+  stats->recall_samples = recall.count();
+  stats->p99_overshoot = overshoot.Quantile(0.99);
+  stats->overshoot_samples = overshoot.count();
 }
 
 }  // namespace mbi::scenario

@@ -30,9 +30,13 @@
 #include <string>
 #include <vector>
 
+#include "core/time_window.h"
+#include "core/types.h"
+#include "data/synthetic.h"
 #include "scenario/event_log.h"
 #include "scenario/invariants.h"
 #include "scenario/scenario.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace mbi::scenario {
@@ -101,6 +105,80 @@ struct ScenarioOutcome {
 /// reported in the outcome's `violations`, not the status.
 Result<ScenarioOutcome> RunScenario(const ScenarioSpec& spec,
                                     const RunOptions& options);
+
+// ---------------------------------------------------------------------------
+// Harness parts shared by this driver and the shard driver
+// (shard/shard_scenario.cc). Each driver keeps its own phase loop and its
+// own RNG draw order, because their event order is what the fingerprints
+// hash; everything else is built from these.
+
+/// What a run owns besides its index: the checkpoint directory and the
+/// seed-derived rows and query pool.
+class RunFixture {
+ public:
+  RunFixture() = default;
+  RunFixture(const RunFixture&) = delete;
+  RunFixture& operator=(const RunFixture&) = delete;
+  /// Removes the work directory when Setup created it.
+  ~RunFixture();
+
+  /// Uses options.work_dir, or a fresh directory under the system temp root
+  /// named after (name, seed, pid); then generates `rows` synthetic rows and
+  /// the query pool from DeriveSeed(seed, SeedStream::kData).
+  Status Setup(const std::string& name, uint64_t seed, size_t dim,
+               size_t rows, const RunOptions& options);
+
+  const std::string& work_dir() const { return work_dir_; }
+  const SyntheticData& data() const { return data_; }
+
+  /// A query vector from the pool, chosen with one draw from `rng`.
+  const float* DrawQueryVector(Rng* rng) const;
+
+ private:
+  std::string work_dir_;
+  bool own_work_dir_ = false;
+  SyntheticData data_;
+  std::vector<float> query_pool_;
+};
+
+/// A window of round(frac * committed) timestamps (at least one), placed
+/// uniformly inside [0, committed) with one draw from `rng`. Synthetic
+/// timestamps are 0..n-1, so that is the committed time range.
+TimeWindow PlaceWindow(double frac, size_t committed, Rng* rng);
+
+/// The kQuery event's packed payload c (see EventKind::kQuery). k and the
+/// result size take 16 bits, the fan-out fields 8; single-index runs leave
+/// the fan-out fields 0.
+uint64_t PackQueryMeta(const SearchResult& result, size_t k,
+                       size_t shards_ok = 0, size_t shards_selected = 0,
+                       size_t hedges = 0);
+
+/// Query tallies of one thread. The driver thread keeps one; each reader
+/// thread fills its own, merged by the driver after the join so the readers
+/// stay lock-free.
+struct QueryTally {
+  size_t queries = 0;     ///< attempts, including shed and failed ones
+  size_t complete = 0;
+  size_t degraded = 0;
+  size_t shed = 0;
+  size_t view_calls = 0;  ///< extra SearchView calls (recall sampling)
+  size_t hedges = 0;
+  size_t shard_retries = 0;
+  size_t partial_results = 0;
+  MeanSink recall;
+  PercentileSink overshoot;
+  std::vector<Violation> violations;  ///< a reader keeps its first few
+
+  /// Counts an answered query as complete or degraded.
+  void CountResult(const SearchResult& result) {
+    ++(result.degraded() ? degraded : complete);
+  }
+  void AddViolation(InvariantId id, std::string detail);
+  /// Folds in another tally's counters and samples (not its violations).
+  void MergeFrom(const QueryTally& other);
+  /// Writes the counters and the recall/overshoot summaries into `stats`.
+  void FoldInto(ScenarioStats* stats) const;
+};
 
 }  // namespace mbi::scenario
 

@@ -33,7 +33,9 @@ enum class EventKind : uint8_t {
   kCrash = 7,            // a: live size at kill, b: acked-durable size
   kRecover = 8,          // a: recovered size
   kQuery = 9,            // a: query ordinal, b: result hash, c: packed
-                         //    (completion | k<<8 | results<<24)
+                         //    (completion | k<<8 | results<<24 |
+                         //    shards_ok<<40 | shards_selected<<48 |
+                         //    hedges<<56; fan-out fields 0 off-shard)
   kShed = 10,            // a: query ordinal
   kInvariant = 11,       // a: invariant id, b: pass(1)/fail(0)
   kOverloadBurst = 12,   // a: issued, b: shed

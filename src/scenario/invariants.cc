@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <utility>
 
 #include "core/topk.h"
+#include "obs/metrics.h"
+#include "persist/crc32c.h"
 
 namespace mbi::scenario {
 
@@ -92,7 +96,64 @@ std::string CheckResultValidity(const VectorStore& store, size_t view_size,
     }
     prev = nb.distance;
   }
+  std::vector<VectorId> ids;
+  ids.reserve(result.size());
+  for (const Neighbor& nb : result) ids.push_back(nb.id);
+  std::sort(ids.begin(), ids.end());
+  const auto dup = std::adjacent_find(ids.begin(), ids.end());
+  if (dup != ids.end()) {
+    std::snprintf(buf, sizeof(buf), "id %lld appears more than once",
+                  static_cast<long long>(*dup));
+    return buf;
+  }
   return "";
+}
+
+uint64_t HashResult(const SearchResult& result) {
+  uint32_t crc = 0;
+  for (const Neighbor& nb : result) {
+    unsigned char buf[12];
+    std::memcpy(buf, &nb.id, 8);
+    std::memcpy(buf + 8, &nb.distance, 4);
+    crc = persist::Crc32cExtend(crc, buf, sizeof(buf));
+  }
+  return (static_cast<uint64_t>(result.size()) << 32) | crc;
+}
+
+size_t FirstDifferingRow(const VectorStore& store, size_t rows,
+                         const SyntheticData& data, size_t base) {
+  for (size_t i = 0; i < rows; ++i) {
+    const VectorId id = static_cast<VectorId>(i);
+    if (store.GetTimestamp(id) != data.timestamps[base + i] ||
+        std::memcmp(store.GetVector(id), data.vector(base + i),
+                    data.dim * sizeof(float)) != 0) {
+      return i;
+    }
+  }
+  return rows;
+}
+
+CounterDeltas::CounterDeltas(std::vector<std::string> names)
+    : names_(std::move(names)) {
+  for (const std::string& name : names_) {
+    base_.push_back(
+        obs::MetricRegistry::Default().GetCounter(name)->Value());
+  }
+}
+
+std::vector<std::string> CounterDeltas::Mismatches(
+    const std::vector<uint64_t>& observed) const {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < names_.size(); ++i) {
+    const uint64_t moved =
+        obs::MetricRegistry::Default().GetCounter(names_[i])->Value() -
+        base_[i];
+    if (moved != observed[i]) {
+      out.push_back(names_[i] + " moved " + std::to_string(moved) +
+                    ", driver observed " + std::to_string(observed[i]));
+    }
+  }
+  return out;
 }
 
 double PercentileSink::Quantile(double q) const {

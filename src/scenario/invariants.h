@@ -35,6 +35,7 @@
 #include "core/time_window.h"
 #include "core/types.h"
 #include "core/vector_store.h"
+#include "data/synthetic.h"
 #include "scenario/scenario.h"
 
 namespace mbi::scenario {
@@ -71,12 +72,39 @@ SearchResult ExactOracleTopK(const VectorStore& store, size_t view_size,
                              const TimeWindow& window);
 
 /// I4 for one result: every neighbor in-window and inside the pinned view,
-/// distance equal to the recomputed distance, list sorted, size <= k.
-/// Returns an empty string when valid, else the first problem found.
+/// distance equal to the recomputed distance, list sorted, no id twice,
+/// size <= k. Returns an empty string when valid, else the first problem
+/// found.
 std::string CheckResultValidity(const VectorStore& store, size_t view_size,
                                 const TimeWindow& window,
                                 const float* query, size_t k,
                                 const SearchResult& result);
+
+/// Content hash of a result list: neighbor ids and the raw bit patterns of
+/// their distances. Two results hash equal iff they are bit-identical.
+uint64_t HashResult(const SearchResult& result);
+
+/// I1's bit check after a recovery: the first row i < rows whose timestamp
+/// or vector bits in `store` differ from row base + i of `data` (what was
+/// ingested); `rows` when every row matches.
+size_t FirstDifferingRow(const VectorStore& store, size_t rows,
+                         const SyntheticData& data, size_t base = 0);
+
+/// I5: how far named process-wide obs counters moved since construction,
+/// to reconcile against how often a driver observed each outcome.
+class CounterDeltas {
+ public:
+  explicit CounterDeltas(std::vector<std::string> names);
+
+  /// One "<name> moved X, driver observed Y" account per counter whose
+  /// movement differs from observed[i] (same order as the names).
+  std::vector<std::string> Mismatches(
+      const std::vector<uint64_t>& observed) const;
+
+ private:
+  std::vector<std::string> names_;
+  std::vector<uint64_t> base_;
+};
 
 /// Streaming percentile sink for overshoot ratios and similar small-count
 /// distributions (exact: keeps the samples).

@@ -1,71 +1,32 @@
 #include "shard/shard_scenario.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <cstring>
-#include <filesystem>
 #include <memory>
 #include <thread>
 #include <utility>
 
-#include "data/synthetic.h"
 #include "eval/recall.h"
-#include "obs/metrics.h"
-#include "persist/crc32c.h"
 #include "persist/fault_injection.h"
 #include "persist/file.h"
+#include "scenario/catalog.h"
 #include "scenario/invariants.h"
 #include "util/budget.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
-namespace stdfs = std::filesystem;
-
 namespace mbi::shard {
 
 using scenario::EventKind;
 using scenario::InvariantId;
-using scenario::MeanSink;
+using scenario::QueryTally;
 using scenario::RunMode;
 using scenario::RunOptions;
 using scenario::ScenarioOutcome;
 using scenario::Violation;
 
 namespace {
-
-constexpr size_t kQueryPoolSize = 64;
-
-// Content hash of a result list (same packing as the core scenario driver):
-// two results hash equal iff their neighbor ids and distance bit patterns
-// are identical.
-uint64_t HashResult(const SearchResult& result) {
-  uint32_t crc = 0;
-  for (const Neighbor& nb : result) {
-    unsigned char buf[12];
-    std::memcpy(buf, &nb.id, 8);
-    std::memcpy(buf + 8, &nb.distance, 4);
-    crc = persist::Crc32cExtend(crc, buf, sizeof(buf));
-  }
-  return (static_cast<uint64_t>(result.size()) << 32) | crc;
-}
-
-// kQuery payload c: completion | k<<8 | results<<24 | shards_ok<<40 |
-// shards_selected<<48 | hedges<<56. Fan-out behavior is part of the
-// fingerprint: a replay that hedges differently is a divergence.
-uint64_t PackShardQueryMeta(const SearchResult& result, size_t k,
-                            const ShardQueryTrace& trace) {
-  return static_cast<uint64_t>(result.completion) |
-         (static_cast<uint64_t>(k & 0xFFFF) << 8) |
-         (static_cast<uint64_t>(result.size() & 0xFFFF) << 24) |
-         (static_cast<uint64_t>(trace.shards_ok & 0xFF) << 40) |
-         (static_cast<uint64_t>(trace.shards_selected & 0xFF) << 48) |
-         (static_cast<uint64_t>(trace.hedges_fired & 0xFF) << 56);
-}
 
 // The brownout fault model: while active, probes of the target shard gain
 // `delay_seconds` of latency and shed with `shed_prob` (probability 1.0 =
@@ -126,37 +87,18 @@ class BrownoutInjector final : public ShardFaultInjector {
   size_t sheds_injected_ MBI_GUARDED_BY(mu_) = 0;
 };
 
-// Snapshot of the process-wide shard counters, for the I5 reconciliation in
-// deterministic (single-threaded) runs.
-struct ShardCounterProbe {
-  obs::Counter* hedges;
-  obs::Counter* retries;
-  obs::Counter* partials;
-  obs::Counter* quarantines;
-
-  static ShardCounterProbe Get() {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Default();
-    return ShardCounterProbe{
-        reg.GetCounter("mbi_shard_hedges_total"),
-        reg.GetCounter("mbi_shard_retries_total"),
-        reg.GetCounter("mbi_shard_partial_results_total"),
-        reg.GetCounter("mbi_shard_quarantines_total"),
-    };
+// Counts one answered scatter-gather into `tally`: its outcome, fan-out
+// and the probes that shed.
+void CountFanout(const SearchResult& result, const ShardQueryTrace& trace,
+                 QueryTally* tally) {
+  tally->CountResult(result);
+  tally->hedges += trace.hedges_fired;
+  tally->shard_retries += trace.retries_total;
+  if (trace.shards_ok < trace.shards_selected) ++tally->partial_results;
+  for (const ShardQueryTrace::Probe& p : trace.probes) {
+    if (!p.ok && !p.quarantined) ++tally->shed;
   }
-};
-
-// Per-storm-thread aggregates (concurrent mode), merged after join.
-struct StormAgg {
-  size_t issued = 0;
-  size_t complete = 0;
-  size_t degraded = 0;
-  size_t partial = 0;
-  size_t hedges = 0;
-  size_t retries = 0;
-  size_t shed_outs = 0;
-  MeanSink recall;
-  std::vector<Violation> violations;
-};
+}
 
 class ShardDriver {
  public:
@@ -173,7 +115,6 @@ class ShardDriver {
     Status st = opts_.mode == RunMode::kDeterministic ? RunDeterministic()
                                                       : RunConcurrent();
     outcome_.stats.wall_seconds = timer.ElapsedSeconds();
-    Teardown();
     MBI_RETURN_IF_ERROR(std::move(st));
     Finish();
     return std::move(outcome_);
@@ -189,32 +130,8 @@ class ShardDriver {
     outcome_.name = spec_.name;
     outcome_.seed = spec_.seed;
     outcome_.mode = opts_.mode;
-
-    if (opts_.work_dir.empty()) {
-      const std::string leaf = "mbi_shard_scenario_" + spec_.name + "_" +
-                               std::to_string(spec_.seed) + "_" +
-                               std::to_string(static_cast<long>(::getpid()));
-      std::error_code ec;
-      const stdfs::path dir = stdfs::temp_directory_path(ec) / leaf;
-      if (ec) return Status::IoError("no temp directory: " + ec.message());
-      stdfs::remove_all(dir, ec);
-      work_dir_ = dir.string();
-      own_work_dir_ = true;
-    } else {
-      work_dir_ = opts_.work_dir;
-    }
-    std::error_code ec;
-    stdfs::create_directories(work_dir_, ec);
-    if (ec) {
-      return Status::IoError("cannot create " + work_dir_ + ": " +
-                             ec.message());
-    }
-
-    SyntheticParams gen;
-    gen.dim = spec_.dim;
-    gen.seed = scenario::DeriveSeed(spec_.seed, scenario::SeedStream::kData);
-    data_ = GenerateSynthetic(gen, spec_.adds);
-    query_pool_ = GenerateQueries(gen, kQueryPoolSize);
+    MBI_RETURN_IF_ERROR(fixture_.Setup(spec_.name, spec_.seed, spec_.dim,
+                                       spec_.adds, opts_));
 
     ShardedMbiParams params = spec_.sharded;
     if (opts_.mode == RunMode::kConcurrent &&
@@ -237,13 +154,6 @@ class ShardDriver {
     return Status::Ok();
   }
 
-  void Teardown() {
-    if (own_work_dir_ && !work_dir_.empty()) {
-      std::error_code ec;
-      stdfs::remove_all(work_dir_, ec);  // best-effort cleanup
-    }
-  }
-
   void AddViolation(InvariantId id, const std::string& detail) {
     if (outcome_.violations.size() < 32) {
       outcome_.violations.push_back(Violation{id, detail});
@@ -251,10 +161,10 @@ class ShardDriver {
   }
 
   Status IngestRow(size_t row) {
+    const SyntheticData& data = fixture_.data();
+    MBI_RETURN_IF_ERROR(sharded_->Add(data.vector(row), data.timestamps[row]));
     MBI_RETURN_IF_ERROR(
-        sharded_->Add(data_.vector(row), data_.timestamps[row]));
-    MBI_RETURN_IF_ERROR(
-        oracle_->Append(data_.vector(row), data_.timestamps[row]));
+        oracle_->Append(data.vector(row), data.timestamps[row]));
     ++outcome_.stats.add_ops;
     return Status::Ok();
   }
@@ -268,53 +178,13 @@ class ShardDriver {
 
   QueryDraw DrawQuery(size_t committed, Rng* rng) {
     QueryDraw q;
-    q.vector =
-        query_pool_.data() + rng->NextBounded(kQueryPoolSize) * spec_.dim;
+    q.vector = fixture_.DrawQueryVector(rng);
     const double frac =
         spec_.window_fractions[rng->NextBounded(spec_.window_fractions.size())];
     q.k = spec_.ks[rng->NextBounded(spec_.ks.size())];
-    const int64_t n = static_cast<int64_t>(committed);
-    const int64_t len =
-        std::max<int64_t>(1, std::llround(frac * static_cast<double>(n)));
-    const int64_t start =
-        static_cast<int64_t>(rng->NextBounded(
-            static_cast<uint64_t>(n - std::min(len, n) + 1)));
-    q.window = TimeWindow{start, start + len};
+    q.window = scenario::PlaceWindow(frac, committed, rng);
     q.ctx_seed = rng->Next();
     return q;
-  }
-
-  // I4, shard-aware: every neighbor id must name an ingested row whose
-  // timestamp is in-window, with the distance recomputed from the original
-  // data bit-equal to the reported one, the list sorted and duplicate-free.
-  // Checking against the immutable source data (rather than a shard's live
-  // store) makes the check race-free in concurrent mode.
-  std::string CheckValidity(const QueryDraw& q, size_t committed,
-                            const SearchResult& result) const {
-    if (result.size() > q.k) return "result larger than k";
-    const DistanceFunction& dist = oracle_->distance();
-    float prev = -std::numeric_limits<float>::infinity();
-    int64_t prev_id = -1;
-    // mbi-lint: allow(budget-charge) — I7 oracle recompute, unbudgeted
-    for (size_t i = 0; i < result.size(); ++i) {
-      const Neighbor& nb = result[i];
-      if (nb.id < 0 || static_cast<size_t>(nb.id) >= committed) {
-        return "neighbor id outside the committed rows";
-      }
-      if (!q.window.Contains(data_.timestamps[nb.id])) {
-        return "neighbor timestamp outside the query window";
-      }
-      const float recomputed =
-          dist(q.vector, data_.vector(static_cast<size_t>(nb.id)));
-      if (recomputed != nb.distance) return "reported distance is not honest";
-      if (nb.distance < prev) return "distances not sorted";
-      if (nb.distance == prev && nb.id == prev_id) {
-        return "duplicate neighbor id survived the merge";
-      }
-      prev = nb.distance;
-      prev_id = nb.id;
-    }
-    return "";
   }
 
   // I8: retries are bounded per chain; a hedged probe runs two chains.
@@ -343,7 +213,7 @@ class ShardDriver {
     ShardQueryTrace trace;
     Result<SearchResult> res =
         sharded_->Search(q.vector, q.window, sp, &ctx, &trace);
-    ++outcome_.stats.queries;
+    ++tally_.queries;
     if (!res.ok()) {
       // min_result_coverage is 0 in every catalog spec: shard faults must
       // degrade, never error.
@@ -355,29 +225,19 @@ class ShardDriver {
       return;
     }
     const SearchResult& result = res.value();
-    if (result.degraded()) {
-      ++outcome_.stats.degraded;
-    } else {
-      ++outcome_.stats.complete;
-    }
-    outcome_.stats.hedges += trace.hedges_fired;
-    outcome_.stats.shard_retries += trace.retries_total;
-    const bool partial = trace.shards_ok < trace.shards_selected;
-    if (partial) {
-      ++outcome_.stats.partial_results;
-      // Partial coverage must be flagged: a short-handed merge that calls
-      // itself complete is a lie to the caller.
-      if (!result.degraded()) {
-        AddViolation(InvariantId::kResultValidity,
-                     "query " + std::to_string(query_ordinal_) +
-                         " lost shards but reported kComplete");
-      }
-    }
-    for (const ShardQueryTrace::Probe& p : trace.probes) {
-      if (!p.ok && !p.quarantined) ++outcome_.stats.shed;
+    CountFanout(result, trace, &tally_);
+    // Partial coverage must be flagged: a short-handed merge that calls
+    // itself complete is a lie to the caller.
+    if (trace.shards_ok < trace.shards_selected && !result.degraded()) {
+      AddViolation(InvariantId::kResultValidity,
+                   "query " + std::to_string(query_ordinal_) +
+                       " lost shards but reported kComplete");
     }
 
-    std::string bad = CheckValidity(q, committed, result);
+    // I4 against the oracle store: the same rows under the same global ids,
+    // never written while storm readers run.
+    std::string bad = scenario::CheckResultValidity(
+        *oracle_, committed, q.window, q.vector, q.k, result);
     if (!bad.empty()) {
       AddViolation(InvariantId::kResultValidity,
                    "query " + std::to_string(query_ordinal_) + ": " + bad);
@@ -396,8 +256,7 @@ class ShardDriver {
     if (full_coverage && sharded_->size() == committed) {
       const SearchResult exact = scenario::ExactOracleTopK(
           *oracle_, committed, q.vector, q.k, q.window);
-      if (HashResult(result) != HashResult(exact)) {
-        ++oracle_mismatches_;
+      if (scenario::HashResult(result) != scenario::HashResult(exact)) {
         AddViolation(InvariantId::kShardOracleMatch,
                      "query " + std::to_string(query_ordinal_) +
                          " merge diverged from the single-index oracle (k=" +
@@ -405,7 +264,6 @@ class ShardDriver {
                          std::to_string(q.window.start) + ", " +
                          std::to_string(q.window.end) + "))");
       }
-      ++oracle_comparisons_;
     } else if (expect_full_coverage) {
       AddViolation(InvariantId::kShardOracleMatch,
                    "query " + std::to_string(query_ordinal_) +
@@ -418,12 +276,13 @@ class ShardDriver {
         query_ordinal_ % spec_.oracle_sample_every == 0) {
       const SearchResult exact = scenario::ExactOracleTopK(
           *oracle_, committed, q.vector, q.k, q.window);
-      recall_.Add(RecallAtK(result, exact, q.k));
+      tally_.recall.Add(RecallAtK(result, exact, q.k));
     }
 
-    outcome_.log.Append(EventKind::kQuery, phase, query_ordinal_,
-                        HashResult(result),
-                        PackShardQueryMeta(result, q.k, trace));
+    outcome_.log.Append(
+        EventKind::kQuery, phase, query_ordinal_, scenario::HashResult(result),
+        scenario::PackQueryMeta(result, q.k, trace.shards_ok,
+                                trace.shards_selected, trace.hedges_fired));
     if (trace.hedges_fired > 0) {
       outcome_.log.Append(EventKind::kHedge, phase, query_ordinal_,
                           trace.hedges_fired);
@@ -493,26 +352,20 @@ class ShardDriver {
                        "acknowledged " + std::to_string(acked_rows));
       return;
     }
-    for (size_t local = 0; local < acked_rows; ++local) {
-      const size_t global = static_cast<size_t>(base.value()) + local;
-      const VectorId id = static_cast<VectorId>(local);
-      if (store.GetTimestamp(id) != data_.timestamps[global] ||
-          std::memcmp(store.GetVector(id), data_.vector(global),
-                      spec_.dim * sizeof(float)) != 0) {
-        AddViolation(InvariantId::kNoLostAckedWrites,
-                     "shard " + std::to_string(i) + " row " +
-                         std::to_string(local) +
-                         " differs from the ingested bits after recovery");
-        return;
-      }
+    const size_t bad_row = scenario::FirstDifferingRow(
+        store, acked_rows, fixture_.data(), static_cast<size_t>(base.value()));
+    if (bad_row < acked_rows) {
+      AddViolation(InvariantId::kNoLostAckedWrites,
+                   "shard " + std::to_string(i) + " row " +
+                       std::to_string(bad_row) +
+                       " differs from the ingested bits after recovery");
     }
   }
 
   Status RunDeterministic() {
-    const ShardCounterProbe counters = ShardCounterProbe::Get();
-    const uint64_t hedges0 = counters.hedges->Value();
-    const uint64_t retries0 = counters.retries->Value();
-    const uint64_t partials0 = counters.partials->Value();
+    const scenario::CounterDeltas counters(
+        {"mbi_shard_hedges_total", "mbi_shard_retries_total",
+         "mbi_shard_partial_results_total"});
 
     const size_t adds = spec_.adds;
     const auto frac_row = [adds](double f) {
@@ -529,7 +382,7 @@ class ShardDriver {
     outcome_.log.Append(EventKind::kPhaseStart, 0);
     double credit = 0.0;
     size_t acked_fault_shard = 0;
-    const std::string clean_dir = work_dir_ + "/clean";
+    const std::string clean_dir = fixture_.work_dir() + "/clean";
     for (size_t row = 0; row < adds; ++row) {
       // Fault-window transitions, in row order so the log is replayable.
       if (has_brownout && row == brownout_begin) {
@@ -561,7 +414,8 @@ class ShardDriver {
       if (spec_.crash_requery && span > 0 && row % span == span / 2) {
         const size_t shard_i = row / span;
         FaultyCheckpoint(0, shard_i,
-                         work_dir_ + "/faulty_" + std::to_string(shard_i));
+                         fixture_.work_dir() + "/faulty_" +
+                             std::to_string(shard_i));
         if (shard_i == spec_.fault_shard) {
           MBI_RETURN_IF_ERROR(
               sharded_->CheckpointShard(spec_.fault_shard, clean_dir));
@@ -592,13 +446,9 @@ class ShardDriver {
     // I5 for the shard layer: the process-wide counters must have moved
     // exactly as often as the driver observed the corresponding outcome
     // (single-threaded run, so the deltas are exact).
-    if (counters.hedges->Value() - hedges0 != outcome_.stats.hedges ||
-        counters.retries->Value() - retries0 != outcome_.stats.shard_retries ||
-        counters.partials->Value() - partials0 !=
-            outcome_.stats.partial_results) {
-      AddViolation(InvariantId::kMetricsConsistency,
-                   "shard counters diverged from driver-observed "
-                   "hedges/retries/partials");
+    for (const std::string& m : counters.Mismatches(
+             {tally_.hedges, tally_.shard_retries, tally_.partial_results})) {
+      AddViolation(InvariantId::kMetricsConsistency, m);
     }
     return Status::Ok();
   }
@@ -607,7 +457,7 @@ class ShardDriver {
   // queries around the hole, checkpoint/recover revival, full-coverage
   // oracle matches after.
   Status RunQuarantineRecoverEpilogue() {
-    const std::string dir = work_dir_ + "/quarantine_ck";
+    const std::string dir = fixture_.work_dir() + "/quarantine_ck";
     MBI_RETURN_IF_ERROR(sharded_->CheckpointShard(spec_.fault_shard, dir));
     ++outcome_.stats.checkpoints_committed;
     Result<std::shared_ptr<const MbiIndex>> pinned =
@@ -683,11 +533,12 @@ class ShardDriver {
     CheckRecoveredShard(spec_.fault_shard, acked_rows);
 
     // Backfill the lost tail row by row (repair path), then requery.
+    const SyntheticData& data = fixture_.data();
     const size_t global_base = static_cast<size_t>(base.value());
     for (size_t local = acked_rows; local < live_rows; ++local) {
       const size_t global = global_base + local;
       MBI_RETURN_IF_ERROR(sharded_->AppendToShard(
-          spec_.fault_shard, data_.vector(global), data_.timestamps[global]));
+          spec_.fault_shard, data.vector(global), data.timestamps[global]));
       ++outcome_.stats.add_ops;
       outcome_.log.Append(EventKind::kAddAck, 6, global);
     }
@@ -715,7 +566,7 @@ class ShardDriver {
                    spec_.sharded.shard.shed_retry_after_seconds);
     const size_t threads = std::max<size_t>(1, spec_.query_threads);
     const size_t queries_per_thread = spec_.epilogue_queries * 4;
-    std::vector<StormAgg> aggs(threads);
+    std::vector<QueryTally> aggs(threads);
     outcome_.log.Append(EventKind::kPhaseStart, 1);
     {
       ThreadPool storm(threads);
@@ -730,7 +581,7 @@ class ShardDriver {
       // recover — racing live scatter-gathers, which must keep answering
       // (degraded at worst) through the swap.
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      const std::string dir = work_dir_ + "/storm_ck";
+      const std::string dir = fixture_.work_dir() + "/storm_ck";
       Status st = sharded_->CheckpointShard(spec_.fault_shard, dir);
       if (st.ok()) {
         ++outcome_.stats.checkpoints_committed;
@@ -753,20 +604,9 @@ class ShardDriver {
     outcome_.log.Append(EventKind::kPhaseEnd, 1);
     injector_->Clear();
 
-    for (StormAgg& agg : aggs) {
-      outcome_.stats.queries += agg.issued;
-      outcome_.stats.complete += agg.complete;
-      outcome_.stats.degraded += agg.degraded;
-      outcome_.stats.partial_results += agg.partial;
-      outcome_.stats.hedges += agg.hedges;
-      outcome_.stats.shard_retries += agg.retries;
-      outcome_.stats.shed += agg.shed_outs;
-      recall_.MergeFrom(agg.recall);
-      for (Violation& v : agg.violations) {
-        if (outcome_.violations.size() < 32) {
-          outcome_.violations.push_back(std::move(v));
-        }
-      }
+    for (const QueryTally& agg : aggs) {
+      tally_.MergeFrom(agg);
+      for (const Violation& v : agg.violations) AddViolation(v.id, v.detail);
     }
 
     // Fault-free epilogue on the driver thread, still through the pool:
@@ -779,7 +619,7 @@ class ShardDriver {
     return Status::Ok();
   }
 
-  void StormLoop(uint64_t seed, size_t queries, StormAgg* agg) {
+  void StormLoop(uint64_t seed, size_t queries, QueryTally* agg) {
     Rng rng(seed);
     QueryContext ctx(rng.Next());
     const size_t committed = oracle_->size();
@@ -797,37 +637,27 @@ class ShardDriver {
       ShardQueryTrace trace;
       Result<SearchResult> res =
           sharded_->Search(q.vector, q.window, sp, &ctx, &trace);
-      ++agg->issued;
+      ++agg->queries;
       if (!res.ok()) {
-        if (agg->violations.size() < 8) {
-          agg->violations.push_back(Violation{
-              InvariantId::kResultValidity,
-              "storm query returned an error instead of degrading: " +
-                  res.status().ToString()});
-        }
+        agg->AddViolation(
+            InvariantId::kResultValidity,
+            "storm query returned an error instead of degrading: " +
+                res.status().ToString());
         continue;
       }
       const SearchResult& result = res.value();
-      if (result.degraded()) {
-        ++agg->degraded;
-      } else {
-        ++agg->complete;
-      }
-      if (trace.shards_ok < trace.shards_selected) ++agg->partial;
-      agg->hedges += trace.hedges_fired;
-      agg->retries += trace.retries_total;
-      for (const ShardQueryTrace::Probe& p : trace.probes) {
-        if (!p.ok && !p.quarantined) ++agg->shed_outs;
-      }
-      std::string bad = CheckValidity(q, committed, result);
-      if (!bad.empty() && agg->violations.size() < 8) {
-        agg->violations.push_back(
-            Violation{InvariantId::kResultValidity, "storm query: " + bad});
+      CountFanout(result, trace, agg);
+      // I4 against the oracle store: the same rows under the same global ids,
+    // never written while storm readers run.
+    std::string bad = scenario::CheckResultValidity(
+        *oracle_, committed, q.window, q.vector, q.k, result);
+      if (!bad.empty()) {
+        agg->AddViolation(InvariantId::kResultValidity, "storm query: " + bad);
       }
       bad = CheckRetryBudget(trace);
-      if (!bad.empty() && agg->violations.size() < 8) {
-        agg->violations.push_back(
-            Violation{InvariantId::kShardRetryBudget, "storm query: " + bad});
+      if (!bad.empty()) {
+        agg->AddViolation(InvariantId::kShardRetryBudget,
+                          "storm query: " + bad);
       }
       // Unbounded full-coverage storm queries are exact even mid-fault:
       // sample them against the oracle for the recall floor.
@@ -848,11 +678,11 @@ class ShardDriver {
       if (pinned.ok()) blocks += pinned.value()->num_blocks();
     }
     outcome_.stats.final_blocks = blocks;
-    outcome_.stats.recall_mean = recall_.Mean();
-    outcome_.stats.recall_samples = recall_.count();
-    if (recall_.count() > 0 && recall_.Mean() < spec_.recall_floor) {
+    tally_.FoldInto(&outcome_.stats);
+    const scenario::MeanSink& recall = tally_.recall;
+    if (recall.count() > 0 && recall.Mean() < spec_.recall_floor) {
       AddViolation(InvariantId::kRecallFloor,
-                   "mean recall " + std::to_string(recall_.Mean()) +
+                   "mean recall " + std::to_string(recall.Mean()) +
                        " below floor " + std::to_string(spec_.recall_floor));
     }
     const auto log_invariant = [this](InvariantId id) {
@@ -874,20 +704,14 @@ class ShardDriver {
   const ShardScenarioSpec spec_;
   const RunOptions opts_;
   ScenarioOutcome outcome_;
-  std::string work_dir_;
-  bool own_work_dir_ = false;
-
-  SyntheticData data_;
-  std::vector<float> query_pool_;
+  scenario::RunFixture fixture_;
   std::unique_ptr<ShardedMbi> sharded_;
   std::unique_ptr<VectorStore> oracle_;
   std::shared_ptr<BrownoutInjector> injector_;
 
   Rng query_rng_;
   uint64_t query_ordinal_ = 0;
-  size_t oracle_comparisons_ = 0;
-  size_t oracle_mismatches_ = 0;
-  MeanSink recall_;
+  QueryTally tally_;  // every query's tallies; storm readers merged in
 };
 
 }  // namespace
@@ -939,6 +763,27 @@ Result<ScenarioOutcome> RunShardScenario(const ShardScenarioSpec& spec,
 
 std::vector<std::string> ShardCatalogNames() {
   return {"shard_brownout", "shard_crash_requery"};
+}
+
+std::vector<std::string> AllCatalogNames() {
+  std::vector<std::string> names = scenario::CatalogNames();
+  for (std::string& name : ShardCatalogNames()) {
+    names.push_back(std::move(name));
+  }
+  return names;
+}
+
+Result<ScenarioOutcome> RunCatalogScenario(const std::string& name,
+                                           uint64_t seed, bool soak,
+                                           const RunOptions& options) {
+  if (Result<scenario::ScenarioSpec> spec =
+          scenario::GetScenario(name, seed, soak);
+      spec.ok()) {
+    return scenario::RunScenario(spec.value(), options);
+  }
+  Result<ShardScenarioSpec> spec = GetShardScenario(name, seed, soak);
+  if (!spec.ok()) return Status::NotFound("unknown scenario: " + name);
+  return RunShardScenario(spec.value(), options);
 }
 
 namespace {

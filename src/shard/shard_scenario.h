@@ -1,9 +1,10 @@
 // Scenario harness for the sharded serving layer (src/shard).
 //
-// Reuses the PR-6 scenario machinery (EventLog, InvariantId, ScenarioOutcome,
-// seed-derived streams) but drives a ShardedMbi plus a single-index oracle
-// over the same rows, because the properties worth checking here live at the
-// fan-out layer, not inside one index:
+// Shares the scenario harness (scenario/driver.h: EventLog, invariants,
+// RunFixture, QueryTally, seed-derived streams) with the single-index driver
+// but runs its own flight plan against a ShardedMbi plus a single-index
+// oracle over the same rows, because the properties worth checking here live
+// at the fan-out layer, not inside one index:
 //
 //   I7 shard-oracle-match  whenever every selected shard answered (full
 //                          coverage, nothing quarantined) and the sharded
@@ -14,9 +15,10 @@
 //   I8 shard-retry-budget  every probe consumes at most backoff.max_retries
 //                          shed retries per chain (two chains when hedged) —
 //                          retry storms are bounded by construction.
-//   I4 degraded-never-invalid (shard-aware) — every merged result, partial
-//                          or complete, contains only in-window rows with
-//                          honest distances, sorted, no duplicate ids.
+//   I4 degraded-never-invalid — every merged result, partial or complete,
+//                          passes scenario::CheckResultValidity against the
+//                          oracle: in-window rows, honest distances, sorted,
+//                          no duplicate ids.
 //
 // Two catalog scenarios:
 //
@@ -134,6 +136,16 @@ std::vector<std::string> ShardCatalogNames();
 /// NotFound for names outside the catalog.
 Result<ShardScenarioSpec> GetShardScenario(const std::string& name,
                                            uint64_t seed, bool soak = false);
+
+/// Both catalogs in order: the single-index scenarios (scenario/catalog.h),
+/// then the sharded ones.
+std::vector<std::string> AllCatalogNames();
+
+/// Runs the named scenario of either catalog with RunScenario or
+/// RunShardScenario. NotFound for names outside both.
+Result<scenario::ScenarioOutcome> RunCatalogScenario(
+    const std::string& name, uint64_t seed, bool soak,
+    const scenario::RunOptions& options);
 
 }  // namespace mbi::shard
 

@@ -17,7 +17,7 @@
 // Direct steady_clock reads are still legitimate in exactly one place:
 // simulating real compute cost (budget_testing::InjectDelay busy-waits on
 // the physical clock — virtual time would never pass). Anything else is a
-// determinism leak; scripts/lint_invariants.py flags new ones.
+// determinism leak; tools/mbi_analyzer (rule `wall-clock`) flags new ones.
 
 #ifndef MBI_UTIL_CLOCK_H_
 #define MBI_UTIL_CLOCK_H_

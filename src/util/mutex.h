@@ -5,8 +5,8 @@
 // -Wthread-safety (see util/thread_annotations.h). mbi::MutexLock is the RAII
 // guard; mbi::CondVar pairs with Mutex the way port::CondVar pairs with
 // port::Mutex in LevelDB. All shared-state owners in the library use these
-// instead of raw std::mutex — enforced by scripts/lint_invariants.py
-// (rule `raw-mutex`).
+// instead of raw std::mutex — enforced by tools/mbi_analyzer (rule
+// `raw-mutex`).
 
 #ifndef MBI_UTIL_MUTEX_H_
 #define MBI_UTIL_MUTEX_H_

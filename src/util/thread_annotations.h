@@ -11,8 +11,8 @@
 //
 // Follows the naming of clang.llvm.org/docs/ThreadSafetyAnalysis.html with an
 // MBI_ prefix. Use mbi::Mutex / mbi::MutexLock (util/mutex.h) rather than
-// std::mutex so the annotations actually bind; the domain lint
-// (scripts/lint_invariants.py, rule `raw-mutex`) enforces this outside util/.
+// std::mutex so the annotations actually bind; tools/mbi_analyzer (rule
+// `raw-mutex`) enforces this outside util/.
 
 #ifndef MBI_UTIL_THREAD_ANNOTATIONS_H_
 #define MBI_UTIL_THREAD_ANNOTATIONS_H_

@@ -1,6 +1,8 @@
 // MbiIndex serialization: round-trip fidelity and corruption handling.
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <unistd.h>
@@ -115,13 +117,32 @@ TEST(MbiIoTest, PartialLeafSurvivesRoundTrip) {
 }
 
 TEST(MbiIoTest, LoadRejectsGarbage) {
-  std::string path = TempPath("mbi_garbage.idx");
-  FILE* f = fopen(path.c_str(), "wb");
-  fputs("this is not an index", f);
-  fclose(f);
-  auto result = MbiIndex::Load(path);
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+  // Plain garbage, and a current file stamped with the retired MBIX0001
+  // magic: neither is a format Load reads.
+  std::string retired;
+  {
+    const std::string saved = TempPath("mbi_retired_magic_src.idx");
+    ASSERT_TRUE(BuildSample(40)->Save(saved).ok());
+    std::ifstream in(saved, std::ios::binary);
+    retired.assign(std::istreambuf_iterator<char>(in), {});
+    std::remove(saved.c_str());
+    ASSERT_GT(retired.size(), 8u);
+    retired.replace(0, 8, "MBIX0001");
+  }
+  const std::string path = TempPath("mbi_garbage.idx");
+  for (const std::string& bytes : {std::string("this is not an index"),
+                                   retired}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto result = MbiIndex::Load(path);
+    ASSERT_FALSE(result.ok()) << bytes.substr(0, 8);
+    EXPECT_EQ(result.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(result.status().ToString().find("not an MBI index file"),
+              std::string::npos)
+        << result.status().ToString();
+  }
   std::remove(path.c_str());
 }
 

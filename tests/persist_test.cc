@@ -625,52 +625,6 @@ TEST(PersistSaveLoadTest, LoadChecksReadCloseBeforePublishing) {
   std::remove(path.c_str());
 }
 
-// Writes the legacy MBIX0001 layout by hand; current Load must accept it.
-TEST(PersistSaveLoadTest, LegacyV1FormatStillLoads) {
-  auto index = BuildIndex(52);  // 6 full leaves + partial tail
-  const std::string path = TempPath("persist_v1.idx");
-  BinaryWriter w;
-  ASSERT_TRUE(w.Open(path).ok());
-  ASSERT_TRUE(w.WriteBytes("MBIX0001", 8).ok());
-  const MbiParams& p = index->params();
-  ASSERT_TRUE(w.Write<uint64_t>(kDim).ok());
-  ASSERT_TRUE(
-      w.Write<uint32_t>(static_cast<uint32_t>(index->store().metric())).ok());
-  ASSERT_TRUE(w.Write<int64_t>(p.leaf_size).ok());
-  ASSERT_TRUE(w.Write<double>(p.tau).ok());
-  ASSERT_TRUE(w.Write<uint32_t>(static_cast<uint32_t>(p.block_kind)).ok());
-  ASSERT_TRUE(w.Write<uint64_t>(p.build.degree).ok());
-  ASSERT_TRUE(w.Write<uint64_t>(p.build.exact_threshold).ok());
-  ASSERT_TRUE(w.Write<double>(p.build.rho).ok());
-  ASSERT_TRUE(w.Write<double>(p.build.delta).ok());
-  ASSERT_TRUE(w.Write<uint64_t>(p.build.max_iterations).ok());
-  ASSERT_TRUE(w.Write<uint64_t>(p.build.seed).ok());
-  const size_t n = index->size();
-  ASSERT_TRUE(w.Write<uint64_t>(n).ok());
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(
-        w.WriteBytes(index->store().GetVector(i), kDim * sizeof(float)).ok());
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const Timestamp t = index->store().GetTimestamp(i);
-    ASSERT_TRUE(w.Write<Timestamp>(t).ok());
-  }
-  ASSERT_TRUE(w.Write<uint64_t>(index->num_blocks()).ok());
-  for (size_t b = 0; b < index->num_blocks(); ++b) {
-    ASSERT_TRUE(
-        w.Write<uint32_t>(static_cast<uint32_t>(index->block(b).kind())).ok());
-    ASSERT_TRUE(index->block(b).Save(&w).ok());
-  }
-  ASSERT_TRUE(w.Close().ok());
-
-  auto loaded = MbiIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->size(), n);
-  EXPECT_EQ(loaded.value()->num_blocks(), index->num_blocks());
-  EXPECT_TRUE(SameAnswers(*index, *loaded.value()));
-  std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint / Recover
 

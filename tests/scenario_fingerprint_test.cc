@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include "scenario/catalog.h"
 #include "scenario/driver.h"
 #include "shard/shard_scenario.h"
 
@@ -39,17 +38,9 @@ constexpr Pinned kPinned[] = {
     {"shard_crash_requery", 0xbfc11cf3, 0x1e4ce40d},
 };
 
-// Runs the named scenario from either catalog; 0 (after a test failure)
-// when it cannot run.
 uint32_t Fingerprint(const std::string& name, uint64_t seed) {
-  Result<ScenarioOutcome> run = Status::NotFound(name);
-  if (Result<ScenarioSpec> spec = GetScenario(name, seed); spec.ok()) {
-    run = RunScenario(spec.value(), RunOptions{});
-  } else if (Result<shard::ShardScenarioSpec> sspec =
-                 shard::GetShardScenario(name, seed);
-             sspec.ok()) {
-    run = shard::RunShardScenario(sspec.value(), RunOptions{});
-  }
+  Result<ScenarioOutcome> run =
+      shard::RunCatalogScenario(name, seed, /*soak=*/false, RunOptions{});
   EXPECT_TRUE(run.ok()) << name << ": " << run.status().ToString();
   if (!run.ok()) return 0;
   EXPECT_TRUE(run.value().ok()) << name << " seed " << seed << ": "
@@ -58,8 +49,7 @@ uint32_t Fingerprint(const std::string& name, uint64_t seed) {
 }
 
 TEST(PinnedFingerprints, TableCoversBothCatalogs) {
-  std::vector<std::string> names = CatalogNames();
-  for (const std::string& n : shard::ShardCatalogNames()) names.push_back(n);
+  const std::vector<std::string> names = shard::AllCatalogNames();
   ASSERT_EQ(names.size(), std::size(kPinned));
   for (size_t i = 0; i < names.size(); ++i) {
     EXPECT_EQ(names[i], kPinned[i].name);

@@ -122,6 +122,31 @@ TEST(VirtualClock, DrivesDeadlinesDeterministically) {
   EXPECT_EQ(d.RemainingSeconds(), 0.0);
 }
 
+// ----------------------------------------------------- result validity --
+
+TEST(ResultValidity, RejectsARepeatedIdAtAnyPosition) {
+  // Rows 0-2 sit at distance 1 from the query, so any order of them is
+  // sorted, and a repeated id need not be adjacent to its first use.
+  VectorStore store(2, Metric::kL2);
+  const float rows[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {2, 0}};
+  for (int i = 0; i < 4; ++i) ASSERT_TRUE(store.Append(rows[i], i).ok());
+  const float query[2] = {0, 0};
+  const TimeWindow all{0, 4};
+  const auto result_of = [&](std::vector<VectorId> ids) {
+    SearchResult r;
+    for (VectorId id : ids) {
+      r.push_back(Neighbor{store.distance()(query, store.GetVector(id)), id});
+    }
+    return r;
+  };
+  EXPECT_EQ(CheckResultValidity(store, store.size(), all, query, 10,
+                                result_of({0, 1, 2, 3})),
+            "");
+  const std::string bad = CheckResultValidity(store, store.size(), all, query,
+                                              10, result_of({0, 1, 0, 3}));
+  EXPECT_NE(bad.find("appears more than once"), std::string::npos) << bad;
+}
+
 // ------------------------------------------------------ replay identity --
 
 TEST(DeterministicReplay, SameSeedBitIdenticalAcrossCatalog) {
