@@ -51,7 +51,7 @@ int main() {
       sp.epsilon = eps;
       MbiQueryStats stats;
       SearchResult r = adaptive->Search(ds.test_query(wq.query_index),
-                                        wq.window, sp, &ctx, &stats);
+                                        wq.window, sp, &ctx, {.stats = &stats});
       exact_blocks += stats.exact_blocks;
       ++samples;
       return r;

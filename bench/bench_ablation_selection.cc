@@ -46,10 +46,10 @@ int main() {
         sp.k = k;
         sp.epsilon = eps;
         MbiQueryStats stats;
-        SearchResult r = index->SearchWithTau(ds.test_query(wq.query_index),
-                                              wq.window, sp, policy.tau, &ctx,
-                                              &stats);
-        blocks += stats.blocks_searched;
+        SearchResult r =
+            index->Search(ds.test_query(wq.query_index), wq.window, sp, &ctx,
+                          {.tau = policy.tau, .stats = &stats});
+        blocks += stats.blocks_searched();
         evals += stats.search.distance_evaluations;
         ++samples;
         return r;

@@ -3,7 +3,7 @@
 //
 // Exercises the single-writer/multi-reader contract end to end: readers pin
 // a ReadView (immutable block snapshot + committed vector prefix) and run
-// SearchView against it while Add() drives merge cascades on the writer.
+// Search against it while Add() drives merge cascades on the writer.
 // Reports query QPS, latency percentiles, and the writer's ingest rate.
 
 #include <algorithm>
@@ -65,8 +65,8 @@ int main() {
     const int64_t b = a + 1 + static_cast<int64_t>(rng.NextBounded(n - a));
     const size_t qi = rng.NextBounded(kNumQueries);
     WallTimer t;
-    SearchResult r = index.SearchView(view, queries.data() + qi * dim,
-                                      TimeWindow{a, b}, sp, params.tau, &ctx);
+    SearchResult r = index.Search(queries.data() + qi * dim, TimeWindow{a, b},
+                                  sp, &ctx, {.view = &view});
     const double s = t.ElapsedSeconds();
     lat_out->push_back(s);
     return r.size();

@@ -27,7 +27,7 @@ int main() {
     BenchDataset ds = MakeDataset(FindDatasetSpec(name));
     std::printf("\n--- %s ---\n", ds.name.c_str());
     // The block structure is tau-independent; one build serves every tau
-    // via SearchWithTau.
+    // via QueryOptions::tau.
     auto mbi_index = BuildMbi(ds);
     auto sf = BuildSf(ds);
 
@@ -50,18 +50,17 @@ int main() {
 
       std::vector<std::string> row = {FormatFloat(fraction * 100, 0) + "%"};
       for (size_t ti = 0; ti < taus.size(); ++ti) {
-        // Tau only affects SelectBlocks; emulate by a per-query tau override
-        // through a thin wrapper index view.
+        // Tau only affects block selection: a per-query override.
         QueryContext ctx(17);
         auto run = [&](const WindowQuery& wq, float eps) {
           SearchParams sp = ds.search;
           sp.k = k;
           sp.epsilon = eps;
           MbiQueryStats stats;
-          SearchResult r = mbi_index->SearchWithTau(
-              ds.test_query(wq.query_index), wq.window, sp, taus[ti], &ctx,
-              &stats);
-          avg_blocks[ti] += stats.blocks_searched;
+          SearchResult r =
+              mbi_index->Search(ds.test_query(wq.query_index), wq.window, sp,
+                                &ctx, {.tau = taus[ti], .stats = &stats});
+          avg_blocks[ti] += stats.blocks_searched();
           ++block_samples;
           return r;
         };

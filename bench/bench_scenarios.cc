@@ -195,8 +195,8 @@ int main(int argc, char** argv) {
       opts.mode = mode;
       if (mode == RunMode::kConcurrent) {
         // Make per-query work expensive enough that deadlines and admission
-        // pressure actually bite (see RunOptions). The sharded driver
-        // injects its own probe delays and ignores this.
+        // pressure actually bite (see RunOptions); the sharded driver applies
+        // it to its query storm.
         opts.injected_distance_delay_nanos = 2000;
       }
       mbi::WallTimer timer;

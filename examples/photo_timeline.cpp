@@ -94,12 +94,12 @@ int main() {
   // The paper's query: photos between January 2010 and May 2011.
   TimeWindow window{UnixSeconds(2010, 1, 1), UnixSeconds(2011, 5, 1)};
   MbiQueryStats qstats;
-  SearchResult result =
-      index.Search(query_photo.data(), window, search, &ctx, &qstats);
+  SearchResult result = index.Search(query_photo.data(), window, search, &ctx,
+                                     {.stats = &qstats});
 
   std::printf("10 photos between 2010-01-01 and 2011-05-01 most similar to "
               "the query photo\n(searched %zu of %zu blocks):\n",
-              qstats.blocks_searched, stats.num_blocks);
+              qstats.blocks_searched(), stats.num_blocks);
   for (const Neighbor& nb : result) {
     std::printf("  photo #%-7" PRId64 "  taken %s  distance %.3f\n",
                 nb.id, FormatDate(index.store().GetTimestamp(nb.id)).c_str(),
@@ -107,7 +107,8 @@ int main() {
   }
 
   // Contrast: same query without a time restriction.
-  SearchResult all = index.SearchAll(query_photo.data(), search, &ctx);
+  SearchResult all =
+      index.Search(query_photo.data(), TimeWindow::All(), search, &ctx);
   std::printf("\nwithout time restriction the best match is photo #%" PRId64
               " taken %s (distance %.3f)\n",
               all[0].id, FormatDate(index.store().GetTimestamp(all[0].id)).c_str(),

@@ -65,10 +65,11 @@ int main() {
   for (TimeWindow window : {TimeWindow{2000, 4000}, TimeWindow{0, 20000},
                             TimeWindow{19900, 20000}}) {
     MbiQueryStats qstats;
-    SearchResult result = index.Search(q, window, search, &ctx, &qstats);
+    SearchResult result =
+        index.Search(q, window, search, &ctx, {.stats = &qstats});
     std::printf("\nwindow [%ld, %ld): searched %zu block(s)\n",
                 static_cast<long>(window.start), static_cast<long>(window.end),
-                qstats.blocks_searched);
+                qstats.blocks_searched());
     for (const Neighbor& nb : result) {
       std::printf("  id=%-6ld t=%-6ld distance=%.4f\n",
                   static_cast<long>(nb.id),

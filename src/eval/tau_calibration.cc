@@ -65,9 +65,9 @@ TauPolicy CalibrateTau(const MbiIndex& index, const float* queries,
     for (double tau : taus) {
       WallTimer timer;
       for (size_t i = 0; i < workload.size(); ++i) {
-        results[i] = index.SearchWithTau(
+        results[i] = index.Search(
             queries + workload[i].query_index * index.store().dim(),
-            workload[i].window, search, tau, &ctx);
+            workload[i].window, search, &ctx, {.tau = tau});
       }
       const double qps = workload.size() / timer.ElapsedSeconds();
       const double recall = MeanRecall(results, truth, search.k);

@@ -2,43 +2,9 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "util/check.h"
 
 namespace mbi {
-
-namespace {
-
-// Process-wide Algorithm 2 counters, registered once.
-struct SearcherMetrics {
-  obs::Counter* searches;
-  obs::Counter* nodes_expanded;
-  obs::Counter* distance_evals;
-  obs::Counter* pool_rejects;
-  obs::Counter* filter_hits;
-
-  static const SearcherMetrics& Get() {
-    static const SearcherMetrics m = [] {
-      auto& reg = obs::MetricRegistry::Default();
-      return SearcherMetrics{
-          reg.GetCounter("mbi_search_graph_searches_total",
-                         "Algorithm 2 invocations (one per searched block)"),
-          reg.GetCounter("mbi_search_nodes_expanded_total",
-                         "candidate-pool pops whose edges were scanned"),
-          reg.GetCounter("mbi_search_distance_evals_total",
-                         "distance evaluations during graph search"),
-          reg.GetCounter("mbi_search_pool_rejects_total",
-                         "neighbors rejected by the bounded pool or the "
-                         "epsilon range restriction"),
-          reg.GetCounter("mbi_search_filter_hits_total",
-                         "expanded vertices inside the query id filter"),
-      };
-    }();
-    return m;
-  }
-};
-
-}  // namespace
 
 size_t GraphSearcher::PoolInsert(float dist, NodeId id, size_t capacity) {
   if (pool_.size() == capacity && dist >= pool_.back().dist) return SIZE_MAX;
@@ -156,12 +122,6 @@ void GraphSearcher::Search(const VectorStore& store, const KnnGraph& graph,
     if (min_inserted < scan_from) scan_from = min_inserted;
   }
 
-  const SearcherMetrics& metrics = SearcherMetrics::Get();
-  metrics.searches->Increment();
-  metrics.nodes_expanded->Increment(local_stats.nodes_expanded);
-  metrics.distance_evals->Increment(local_stats.distance_evaluations);
-  metrics.pool_rejects->Increment(local_stats.pool_rejects);
-  metrics.filter_hits->Increment(local_stats.filter_hits);
   if (stats != nullptr) *stats += local_stats;
 }
 

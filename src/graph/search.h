@@ -66,6 +66,8 @@ struct SearchStats {
     filter_hits += o.filter_hits;
     return *this;
   }
+
+  friend bool operator==(const SearchStats&, const SearchStats&) = default;
 };
 
 /// Reusable scratch state for Algorithm 2. Not thread-safe; use one searcher

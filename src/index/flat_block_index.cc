@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 #include "util/io.h"
 
 namespace mbi {
@@ -45,14 +44,6 @@ void ExactScan(const VectorStore& store, const IdRange& range,
     if (done < run.count) break;  // budget exhausted mid-run
     id += static_cast<VectorId>(run.count);
   }
-  static obs::Counter* scans = obs::MetricRegistry::Default().GetCounter(
-      "mbi_search_exact_scans_total",
-      "exact (BSBF-style) block scans, incl. adaptive fallbacks");
-  static obs::Counter* evals = obs::MetricRegistry::Default().GetCounter(
-      "mbi_search_exact_distance_evals_total",
-      "distance evaluations spent in exact block scans");
-  scans->Increment();
-  evals->Increment(m);
   if (stats != nullptr) {
     stats->distance_evaluations += m;
     // Every scanned vector is in-filter by construction and offered to R.

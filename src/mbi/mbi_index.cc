@@ -53,7 +53,8 @@ struct BuildMetrics {
   }
 };
 
-// Query-path metrics (Algorithm 4): latency, fan-out, selectivity, work.
+// Query-path metrics (Algorithm 4): latency, fan-out, selectivity, work;
+// all of them written by FinishQuery.
 struct QueryMetrics {
   obs::Counter* queries;
   obs::Counter* empty_queries;
@@ -66,6 +67,14 @@ struct QueryMetrics {
   obs::Histogram* blocks_searched;
   obs::Histogram* selectivity;
   obs::Histogram* distance_evals;
+  // Work of the searched blocks (mbi_search_*).
+  obs::Counter* graph_searches;
+  obs::Counter* nodes_expanded;
+  obs::Counter* graph_distance_evals;
+  obs::Counter* pool_rejects;
+  obs::Counter* filter_hits;
+  obs::Counter* exact_scans;
+  obs::Counter* exact_distance_evals;
 
   static const QueryMetrics& Get() {
     static const QueryMetrics m = [] {
@@ -100,11 +109,90 @@ struct QueryMetrics {
           reg.GetHistogram("mbi_query_distance_evals",
                            obs::Histogram::ExponentialBounds(4, 4.0, 12),
                            "distance evaluations per query, all blocks"),
+          reg.GetCounter("mbi_search_graph_searches_total",
+                         "Algorithm 2 invocations (one per searched block)"),
+          reg.GetCounter("mbi_search_nodes_expanded_total",
+                         "candidate-pool pops whose edges were scanned"),
+          reg.GetCounter("mbi_search_distance_evals_total",
+                         "distance evaluations during graph search"),
+          reg.GetCounter("mbi_search_pool_rejects_total",
+                         "neighbors rejected by the bounded pool or the "
+                         "epsilon range restriction"),
+          reg.GetCounter("mbi_search_filter_hits_total",
+                         "expanded vertices inside the query id filter"),
+          reg.GetCounter("mbi_search_exact_scans_total",
+                         "exact (BSBF-style) block scans, incl. adaptive "
+                         "fallbacks"),
+          reg.GetCounter("mbi_search_exact_distance_evals_total",
+                         "distance evaluations spent in exact block scans"),
       };
     }();
     return m;
   }
 };
+
+// How a query ended, as far as the query metrics tell endings apart.
+enum class QueryEnd {
+  kShed,          // refused by admission control before it ran
+  kInvalid,       // non-finite query vector
+  kNothingAsked,  // k == 0: a complete, empty answer without work
+  kEmptyWindow,   // the window matched no committed vector
+  kSearched,
+};
+
+// The one place a query is accounted. Every mbi_query_* and mbi_search_*
+// update, the trace's totals and the caller's accumulated stats derive from
+// the query's record `rec`; `selectivity` is the window's share of the
+// committed vectors (kSearched only).
+void FinishQuery(QueryEnd end, double seconds, double selectivity,
+                 const MbiQueryStats& rec, const SearchResult& result,
+                 const QueryOptions& opts) {
+  const QueryMetrics& metrics = QueryMetrics::Get();
+  if (end == QueryEnd::kShed) {  // never ran: no answer, record or trace
+    metrics.shed->Increment();
+    return;
+  }
+  metrics.queries->Increment();
+  if (end == QueryEnd::kInvalid) metrics.invalid->Increment();
+  if (end == QueryEnd::kEmptyWindow) metrics.empty_queries->Increment();
+  if (end == QueryEnd::kEmptyWindow || end == QueryEnd::kSearched) {
+    metrics.seconds->Observe(seconds);
+  }
+  if (end == QueryEnd::kSearched) {
+    metrics.selectivity->Observe(selectivity);
+    metrics.blocks_searched->Observe(
+        static_cast<double>(rec.blocks_searched()));
+    metrics.distance_evals->Observe(
+        static_cast<double>(rec.search.distance_evaluations));
+    // Exact scans expand no vertex and reject nothing; every row they read
+    // is a distance evaluation and a filter hit.
+    metrics.graph_searches->Increment(rec.graph_blocks);
+    metrics.nodes_expanded->Increment(rec.search.nodes_expanded);
+    metrics.graph_distance_evals->Increment(rec.search.distance_evaluations -
+                                            rec.exact_distance_evals);
+    metrics.pool_rejects->Increment(rec.search.pool_rejects);
+    metrics.filter_hits->Increment(rec.search.filter_hits -
+                                   rec.exact_distance_evals);
+    metrics.exact_scans->Increment(rec.exact_blocks);
+    metrics.exact_distance_evals->Increment(rec.exact_distance_evals);
+  }
+  if (result.completion == Completion::kDegraded) {
+    metrics.degraded->Increment();
+    if (result.degrade_reason == DegradeReason::kDeadlineExceeded) {
+      metrics.deadline_exceeded->Increment();
+    } else if (result.degrade_reason == DegradeReason::kCancelled) {
+      metrics.cancelled->Increment();
+    }
+  }
+  if (opts.trace != nullptr) {
+    opts.trace->totals = rec;
+    opts.trace->total_seconds = seconds;
+    opts.trace->results_returned = result.size();
+    opts.trace->budget.completion = result.completion;
+    opts.trace->budget.degrade_reason = result.degrade_reason;
+  }
+  if (opts.stats != nullptr) *opts.stats += rec;
+}
 
 }  // namespace
 
@@ -346,16 +434,6 @@ ReadView MbiIndex::AcquireReadView() const {
   return view;
 }
 
-std::vector<SelectedBlock> MbiIndex::SelectSearchBlocks(
-    const TimeWindow& window) const {
-  return SelectSearchBlocks(window, params_.tau);
-}
-
-std::vector<SelectedBlock> MbiIndex::SelectSearchBlocks(
-    const TimeWindow& window, double tau) const {
-  return SelectSearchBlocksForRange(store_.FindRange(window), tau);
-}
-
 std::vector<SelectedBlock> MbiIndex::SelectSearchBlocksForRange(
     const IdRange& range, double tau, std::vector<SelectionStep>* steps) const {
   const ReadView view = AcquireReadView();
@@ -400,35 +478,18 @@ std::vector<SelectedBlock> MbiIndex::SelectForView(
   return out;
 }
 
-SearchResult MbiIndex::Search(const float* query, const TimeWindow& window,
-                              const SearchParams& search, QueryContext* ctx,
-                              MbiQueryStats* stats,
-                              obs::QueryTrace* trace) const {
-  return SearchWithTau(query, window, search, params_.tau, ctx, stats, trace);
-}
-
-SearchResult MbiIndex::SearchWithTau(const float* query,
-                                     const TimeWindow& window,
-                                     const SearchParams& search, double tau,
-                                     QueryContext* ctx, MbiQueryStats* stats,
-                                     obs::QueryTrace* trace) const {
-  return SearchView(AcquireReadView(), query, window, search, tau, ctx, stats,
-                    trace);
-}
-
 Result<SearchResult> MbiIndex::SearchAdmitted(const float* query,
                                               const TimeWindow& window,
                                               const SearchParams& search,
                                               QueryContext* ctx,
-                                              MbiQueryStats* stats,
-                                              obs::QueryTrace* trace) const {
+                                              const QueryOptions& opts) const {
   const size_t limit = params_.max_inflight_queries;
   const size_t mine = inflight_.fetch_add(1, std::memory_order_acq_rel) + 1;
   if (limit != 0 && mine > limit) {
     // Shed without touching the index: under overload, a fast rejection the
     // caller can retry beats joining an unbounded queue.
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    QueryMetrics::Get().shed->Increment();
+    FinishQuery(QueryEnd::kShed, 0.0, 0.0, {}, {}, opts);
     // Structured retry-after payload for retry policies; the message keeps
     // the same hint in prose for humans reading logs.
     return Status::ResourceExhausted(
@@ -443,7 +504,7 @@ Result<SearchResult> MbiIndex::SearchAdmitted(const float* query,
   while (mine > seen && !inflight_high_water_.compare_exchange_weak(
                             seen, mine, std::memory_order_relaxed)) {
   }
-  SearchResult result = Search(query, window, search, ctx, stats, trace);
+  SearchResult result = Search(query, window, search, ctx, opts);
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
   if (result.completion == Completion::kInvalidArgument) {
     return Status::InvalidArgument(
@@ -452,15 +513,15 @@ Result<SearchResult> MbiIndex::SearchAdmitted(const float* query,
   return result;
 }
 
-SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
-                                  const TimeWindow& window,
-                                  const SearchParams& search, double tau,
-                                  QueryContext* ctx, MbiQueryStats* stats,
-                                  obs::QueryTrace* trace) const {
-  const QueryMetrics& metrics = QueryMetrics::Get();
-  metrics.queries->Increment();
+SearchResult MbiIndex::Search(const float* query, const TimeWindow& window,
+                              const SearchParams& search, QueryContext* ctx,
+                              const QueryOptions& opts) const {
   WallTimer query_timer;
-
+  ReadView pinned;
+  const ReadView& view =
+      opts.view != nullptr ? *opts.view : (pinned = AcquireReadView());
+  const double tau = opts.tau.value_or(params_.tau);
+  obs::QueryTrace* const trace = opts.trace;
   if (trace != nullptr) {
     *trace = obs::QueryTrace{};
     trace->window = window;
@@ -472,24 +533,17 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
   // every distance comparison (NaN compares false both ways), and k == 0 or
   // an empty/inverted window asks for nothing — a complete answer.
   if (!IsFiniteVector(query, store_.dim())) {
-    metrics.invalid->Increment();
     SearchResult bad;
     bad.completion = Completion::kInvalidArgument;
-    if (trace != nullptr) {
-      trace->budget.completion = bad.completion;
-      trace->total_seconds = query_timer.ElapsedSeconds();
-    }
+    FinishQuery(QueryEnd::kInvalid, query_timer.ElapsedSeconds(), 0.0, {},
+                bad, opts);
     return bad;
   }
-  if (search.k == 0) return {};
-
-  BudgetTracker budget(search.budget);
-  const bool bounded = budget.bounded();
-
-  TopKHeap heap(search.k);
-  // Per-query rollup, aggregated whether or not the caller asked for stats;
-  // the caller's MbiQueryStats keeps its accumulate-across-queries contract.
-  MbiQueryStats qstats;
+  if (search.k == 0) {
+    FinishQuery(QueryEnd::kNothingAsked, query_timer.ElapsedSeconds(), 0.0,
+                {}, {}, opts);
+    return {};
+  }
 
   // Map the time window to its id range once (Algorithm 1 line 1), bounded
   // by the view's committed prefix so one size governs the whole query; all
@@ -499,17 +553,17 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
           ? IdRange{0, 0}
           : store_.FindRangeInPrefix(window, view.num_vectors);
   if (trace != nullptr) trace->id_range = qrange;
-
   if (qrange.Empty()) {
-    metrics.empty_queries->Increment();
-    const double elapsed = query_timer.ElapsedSeconds();
-    metrics.seconds->Observe(elapsed);
-    if (trace != nullptr) trace->total_seconds = elapsed;
+    FinishQuery(QueryEnd::kEmptyWindow, query_timer.ElapsedSeconds(), 0.0,
+                {}, {}, opts);
     return {};
   }
-  metrics.selectivity->Observe(static_cast<double>(qrange.size()) /
-                               static_cast<double>(view.num_vectors));
 
+  BudgetTracker budget(search.budget);
+  const bool bounded = budget.bounded();
+
+  TopKHeap heap(search.k);
+  MbiQueryStats rec;  // the only tally the block loop writes
   const MbiSnapshot& snap = *view.snapshot;
   std::vector<SelectedBlock> selected =
       SelectForView(snap.covered_end, static_cast<int64_t>(view.num_vectors),
@@ -604,49 +658,32 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
       for (const Neighbor& nb : block_heap.contents()) {
         heap.Push(nb.distance, nb.id);
       }
-      ++qstats.graph_blocks;
+      ++rec.graph_blocks;
     } else {
       // Non-full tail leaf (or adaptive fallback): Algorithm 4 line 6 (BSBF
       // inside the block).
       ExactScan(store_, sel.range, query, filter, &heap, &block_stats,
                 bounded ? &budget : nullptr);
       block_hits = block_stats.filter_hits;
-      ++qstats.exact_blocks;
+      ++rec.exact_blocks;
+      rec.exact_distance_evals += block_stats.distance_evaluations;
     }
-    qstats.search += block_stats;
+    rec.search += block_stats;
     if (trace != nullptr) {
       trace->blocks.push_back(obs::BlockTrace{
           sel.node, sel.range, sel.overlap_ratio, use_graph, fully_covered,
           block_stats, block_timer.ElapsedSeconds(), block_hits});
     }
   }
-  qstats.blocks_searched = selected.size() - blocks_skipped;
-  // Every searched block is searched exactly one way; a mismatch means a
-  // counting bug upstream (e.g. an adaptive-fallback branch not recorded).
-  MBI_DCHECK(qstats.blocks_searched ==
-             qstats.graph_blocks + qstats.exact_blocks);
 
   const double elapsed = query_timer.ElapsedSeconds();
-  metrics.seconds->Observe(elapsed);
-  metrics.blocks_searched->Observe(static_cast<double>(qstats.blocks_searched));
-  metrics.distance_evals->Observe(
-      static_cast<double>(qstats.search.distance_evaluations));
-
   SearchResult result = heap.ExtractSorted();
   if (budget.Exhausted()) {
     result.completion = Completion::kDegraded;
     result.degrade_reason = budget.reason();
     result.blocks_skipped = blocks_skipped;
-    metrics.degraded->Increment();
-    if (budget.reason() == DegradeReason::kDeadlineExceeded) {
-      metrics.deadline_exceeded->Increment();
-    } else if (budget.reason() == DegradeReason::kCancelled) {
-      metrics.cancelled->Increment();
-    }
   }
   if (trace != nullptr) {
-    trace->total_seconds = elapsed;
-    trace->results_returned = result.size();
     obs::BudgetTrace& bt = trace->budget;
     bt.bounded = bounded;
     if (search.budget != nullptr) {
@@ -654,36 +691,19 @@ SearchResult MbiIndex::SearchView(const ReadView& view, const float* query,
       bt.max_hops = search.budget->max_hops;
       if (!search.budget->deadline.infinite()) {
         // Total allowance as seen at query start: remaining + elapsed.
-        bt.deadline_seconds =
-            search.budget->deadline.RemainingSeconds() + elapsed;
+        bt.deadline_seconds = search.budget->deadline.RemainingSeconds() +
+                              elapsed;
       }
     }
     bt.distance_evals_spent = budget.distance_evals();
     bt.hops_spent = budget.hops();
     bt.blocks_skipped = blocks_skipped;
-    bt.completion = result.completion;
-    bt.degrade_reason = result.degrade_reason;
   }
-  if (stats != nullptr) {
-    stats->blocks_searched += qstats.blocks_searched;
-    stats->graph_blocks += qstats.graph_blocks;
-    stats->exact_blocks += qstats.exact_blocks;
-    stats->search += qstats.search;
-  }
+  FinishQuery(QueryEnd::kSearched, elapsed,
+              static_cast<double>(qrange.size()) /
+                  static_cast<double>(view.num_vectors),
+              rec, result, opts);
   return result;
-}
-
-obs::QueryTrace MbiIndex::Explain(const float* query, const TimeWindow& window,
-                                  const SearchParams& search,
-                                  QueryContext* ctx) const {
-  obs::QueryTrace trace;
-  (void)Search(query, window, search, ctx, /*stats=*/nullptr, &trace);
-  return trace;
-}
-
-SearchResult MbiIndex::SearchAll(const float* query, const SearchParams& search,
-                                 QueryContext* ctx) const {
-  return Search(query, TimeWindow::All(), search, ctx);
 }
 
 MbiStats MbiIndex::GetStats() const {

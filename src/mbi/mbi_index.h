@@ -13,6 +13,7 @@
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "graph/search.h"
 #include "index/block_index.h"
 #include "mbi/block_tree.h"
+#include "mbi/query_stats.h"
 #include "obs/trace.h"
 #include "util/mutex.h"
 #include "util/rng.h"
@@ -96,14 +98,6 @@ struct MbiStats {
   double cumulative_build_seconds = 0.0;
 };
 
-/// Per-query diagnostics.
-struct MbiQueryStats {
-  size_t blocks_searched = 0;      ///< graph blocks + exact-scanned leaves
-  size_t graph_blocks = 0;
-  size_t exact_blocks = 0;
-  SearchStats search;
-};
-
 /// Per-thread scratch for queries. Create one per querying thread; reusing
 /// it across queries avoids allocation on the hot path.
 class QueryContext {
@@ -141,9 +135,24 @@ struct ReadView {
   std::shared_ptr<const MbiSnapshot> snapshot;
 };
 
+/// The optional parts of one query; the defaults run at params().tau on a
+/// freshly pinned view and report nothing beyond the result and metrics.
+struct QueryOptions {
+  /// Selection threshold instead of params().tau. The block structure is the
+  /// same for every tau, so studies like the paper's Figure 9 share an index.
+  std::optional<double> tau = std::nullopt;
+  /// A view from AcquireReadView. The same view, query and equally seeded
+  /// QueryContext give identical results whatever the writer does meanwhile.
+  const ReadView* view = nullptr;
+  /// Receives the query's record, added to what it holds already.
+  MbiQueryStats* stats = nullptr;
+  /// Overwritten with the query's EXPLAIN record (see obs/trace.h).
+  obs::QueryTrace* trace = nullptr;
+};
+
 /// Concurrency contract: one writer thread may call Add/AddBatch while any
 /// number of reader threads call the const query methods (Search,
-/// SelectSearchBlocks, Explain, GetStats, ...). Readers never block the
+/// SelectSearchBlocksForRange, GetStats, ...). Readers never block the
 /// writer and vice versa; each query pins a ReadView and sees the committed
 /// prefix it describes. The writer side serializes on an internal mutex and
 /// every writer-side field is MBI_GUARDED_BY it, so the contract is checked
@@ -189,13 +198,11 @@ class MbiIndex {
   /// with timestamp in `window`. `search` carries k, M_C and epsilon, and
   /// optionally a QueryBudget (deadline / work caps / cancellation): on
   /// exhaustion the result is a valid best-effort subset flagged kDegraded.
-  /// `trace`, when non-null, is filled with a full EXPLAIN record (selection
-  /// decisions, per-block counters, timings and budget spend) — see
-  /// obs/trace.h.
+  /// `opts` overrides tau, pins a view and asks for the query's record or
+  /// trace.
   SearchResult Search(const float* query, const TimeWindow& window,
                       const SearchParams& search, QueryContext* ctx,
-                      MbiQueryStats* stats = nullptr,
-                      obs::QueryTrace* trace = nullptr) const;
+                      const QueryOptions& opts = {}) const;
 
   /// Search behind the admission controller: at most
   /// params().max_inflight_queries run concurrently; excess queries are shed
@@ -206,8 +213,7 @@ class MbiIndex {
                                       const TimeWindow& window,
                                       const SearchParams& search,
                                       QueryContext* ctx,
-                                      MbiQueryStats* stats = nullptr,
-                                      obs::QueryTrace* trace = nullptr) const;
+                                      const QueryOptions& opts = {}) const;
 
   /// Queries currently inside SearchAdmitted / the maximum ever observed.
   size_t inflight_queries() const {
@@ -217,51 +223,16 @@ class MbiIndex {
     return inflight_high_water_.load(std::memory_order_relaxed);
   }
 
-  /// Search with a one-off block-selection threshold instead of
-  /// params().tau. Tau is a pure query-time parameter (the block structure
-  /// is identical for every tau), so parameter studies like the paper's
-  /// Figure 9 can share a single built index.
-  SearchResult SearchWithTau(const float* query, const TimeWindow& window,
-                             const SearchParams& search, double tau,
-                             QueryContext* ctx,
-                             MbiQueryStats* stats = nullptr,
-                             obs::QueryTrace* trace = nullptr) const;
-
   /// Pins the current committed state for a sequence of consistent reads.
   /// Loads the snapshot first and the committed size second, so the size is
   /// always >= the snapshot's covered prefix.
   ReadView AcquireReadView() const;
 
-  /// Search against an explicitly pinned view. Given the same view, the same
-  /// query arguments and an equally seeded QueryContext, results are
-  /// identical no matter what the writer does in the meantime — the basis of
-  /// the concurrent/serial parity tests.
-  SearchResult SearchView(const ReadView& view, const float* query,
-                          const TimeWindow& window, const SearchParams& search,
-                          double tau, QueryContext* ctx,
-                          MbiQueryStats* stats = nullptr,
-                          obs::QueryTrace* trace = nullptr) const;
-
-  /// Convenience: unrestricted kNN (window = all time).
-  SearchResult SearchAll(const float* query, const SearchParams& search,
-                         QueryContext* ctx) const;
-
-  /// EXPLAIN: runs the query with tracing and returns the trace (results
-  /// are discarded; run Search with a trace pointer to keep both).
-  obs::QueryTrace Explain(const float* query, const TimeWindow& window,
-                          const SearchParams& search, QueryContext* ctx) const;
-
-  /// The search block set Algorithm 4 would use for `window` (exposed for
-  /// tests, benches and EXPLAIN-style debugging). The two-argument form
-  /// overrides tau. Selection happens in id space: the window is first
-  /// mapped to its id range (the paper's convention for duplicate
-  /// timestamps, and the count-fraction overlap ratio Theorem 4.2 assumes).
-  std::vector<SelectedBlock> SelectSearchBlocks(const TimeWindow& window) const;
-  std::vector<SelectedBlock> SelectSearchBlocks(const TimeWindow& window,
-                                                double tau) const;
-
-  /// Selection for a query already expressed as an id range. `steps`, when
-  /// non-null, receives every visited node with its r_o and tau decision.
+  /// The search block set Algorithm 4 selects at threshold `tau` for a query
+  /// already mapped to its id range (VectorStore::FindRange; the paper's
+  /// convention for duplicate timestamps, and the count-fraction overlap
+  /// ratio Theorem 4.2 assumes). `steps`, when non-null, receives every
+  /// visited node with its r_o and tau decision.
   std::vector<SelectedBlock> SelectSearchBlocksForRange(
       const IdRange& range, double tau,
       std::vector<SelectionStep>* steps = nullptr) const;

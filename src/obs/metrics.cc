@@ -106,6 +106,7 @@ Counter* MetricRegistry::GetCounter(const std::string& name,
     it = metrics_.emplace(name, std::move(slot)).first;
   }
   MBI_CHECK(it->second.kind == Kind::kCounter);
+  if (it->second.help.empty()) it->second.help = help;
   return it->second.counter.get();
 }
 
@@ -121,6 +122,7 @@ Gauge* MetricRegistry::GetGauge(const std::string& name,
     it = metrics_.emplace(name, std::move(slot)).first;
   }
   MBI_CHECK(it->second.kind == Kind::kGauge);
+  if (it->second.help.empty()) it->second.help = help;
   return it->second.gauge.get();
 }
 
@@ -137,6 +139,7 @@ Histogram* MetricRegistry::GetHistogram(const std::string& name,
     it = metrics_.emplace(name, std::move(slot)).first;
   }
   MBI_CHECK(it->second.kind == Kind::kHistogram);
+  if (it->second.help.empty()) it->second.help = help;
   return it->second.histogram.get();
 }
 

@@ -104,7 +104,9 @@ class Histogram {
 
 /// Named collection of metrics. Get* registers on first use and returns a
 /// stable pointer thereafter; a name maps to exactly one metric kind
-/// (re-registering under a different kind aborts — programmer error).
+/// (re-registering under a different kind aborts — programmer error). A
+/// lookup without help text (a reader going by name) never hides the help
+/// its owner registers later.
 class MetricRegistry {
  public:
   MetricRegistry() = default;

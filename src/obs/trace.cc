@@ -59,20 +59,6 @@ void AppendStatsJson(JsonWriter* w, const SearchStats& s) {
 
 }  // namespace
 
-SearchStats QueryTrace::TotalStats() const {
-  SearchStats total;
-  for (const BlockTrace& b : blocks) total += b.stats;
-  return total;
-}
-
-size_t QueryTrace::GraphBlocks() const {
-  size_t n = 0;
-  for (const BlockTrace& b : blocks) n += b.used_graph ? 1 : 0;
-  return n;
-}
-
-size_t QueryTrace::ExactBlocks() const { return blocks.size() - GraphBlocks(); }
-
 std::string QueryTrace::ToString() const {
   std::string out;
   out += "EXPLAIN TkNN query  window=[" + std::to_string(window.start) + ", " +
@@ -105,12 +91,11 @@ std::string QueryTrace::ToString() const {
   }
   out += blk.ToString();
 
-  const SearchStats total = TotalStats();
-  out += "\ntotals: blocks=" + std::to_string(blocks.size()) + " (graph=" +
-         std::to_string(GraphBlocks()) + ", exact=" +
-         std::to_string(ExactBlocks()) + ")  dist-evals=" +
-         std::to_string(total.distance_evaluations) + "  expanded=" +
-         std::to_string(total.nodes_expanded) + "  results=" +
+  out += "\ntotals: blocks=" + std::to_string(totals.blocks_searched()) +
+         " (graph=" + std::to_string(totals.graph_blocks) + ", exact=" +
+         std::to_string(totals.exact_blocks) + ")  dist-evals=" +
+         std::to_string(totals.search.distance_evaluations) + "  expanded=" +
+         std::to_string(totals.search.nodes_expanded) + "  results=" +
          std::to_string(results_returned) + "  time=" +
          FormatFloat(total_seconds * 1e3, 3) + " ms\n";
 
@@ -225,13 +210,13 @@ std::string QueryTrace::ToJson() const {
   w.Key("totals");
   w.BeginObject();
   w.Key("blocks_searched");
-  w.Uint(blocks.size());
+  w.Uint(totals.blocks_searched());
   w.Key("graph_blocks");
-  w.Uint(GraphBlocks());
+  w.Uint(totals.graph_blocks);
   w.Key("exact_blocks");
-  w.Uint(ExactBlocks());
+  w.Uint(totals.exact_blocks);
   w.Key("stats");
-  AppendStatsJson(&w, TotalStats());
+  AppendStatsJson(&w, totals.search);
   w.Key("results_returned");
   w.Uint(results_returned);
   w.Key("seconds");

@@ -7,8 +7,9 @@
 // the Algorithm 2 counters, and the wall time spent. Render it for humans
 // with ToString() (an EXPLAIN-style table) or for machines with ToJson().
 //
-// Obtain one from MbiIndex::Explain() or by passing a QueryTrace* to
-// MbiIndex::Search/SearchWithTau. Tracing is strictly per-query and heap-
+// Obtain one by setting QueryOptions::trace on MbiIndex::Search. The trace's
+// totals are the query's MbiQueryStats record, the same one the process
+// metrics are derived from. Tracing is strictly per-query and heap-
 // allocating; the always-on process metrics (obs/metrics.h) are the cheap
 // path, traces are the deep one.
 
@@ -23,6 +24,7 @@
 #include "core/vector_store.h"
 #include "graph/search.h"
 #include "mbi/block_tree.h"
+#include "mbi/query_stats.h"
 
 namespace mbi::obs {
 
@@ -67,18 +69,14 @@ struct QueryTrace {
   // The blocks actually searched, in search order.
   std::vector<BlockTrace> blocks;
 
-  // Whole-query rollup.
+  // Whole-query rollup: the query's record, which its per-block counters
+  // sum to.
+  MbiQueryStats totals;
   double total_seconds = 0.0;
   size_t results_returned = 0;
 
   // Budget spend and degradation outcome.
   BudgetTrace budget;
-
-  /// Sum of per-block counters (equals MbiQueryStats.search).
-  SearchStats TotalStats() const;
-
-  size_t GraphBlocks() const;
-  size_t ExactBlocks() const;
 
   /// Human-readable EXPLAIN rendering (util/table alignment).
   std::string ToString() const;

@@ -16,11 +16,7 @@ ScenarioSpec BaseSpec(const std::string& name, uint64_t seed) {
   spec.index.num_threads = 1;
   spec.bounds.recall_floor = 0.70;
   spec.bounds.oracle_sample_every = 5;
-  // Millisecond deadlines measured on loaded CI machines (and under TSan)
-  // carry scheduler-descheduling tails of tens of ms; broken deadline
-  // polling shows up as ratios in the hundreds, so a generous bound still
-  // separates the two cleanly without flaking.
-  spec.bounds.p99_overshoot_factor = 25.0;
+  spec.bounds.p99_overshoot_factor = kCatalogP99OvershootFactor;
   return spec;
 }
 

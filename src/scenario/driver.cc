@@ -8,6 +8,7 @@
 #include <cmath>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -177,10 +178,9 @@ void Driver::DeterministicQuery(uint32_t pi, const PhaseSpec& p) {
   }
 
   QueryContext ctx(q.ctx_seed);
-  MbiQueryStats qstats;
   const size_t view_size = index_->size();
   const SearchResult result =
-      index_->Search(q.vector, q.window, sp, &ctx, &qstats);
+      index_->Search(q.vector, q.window, sp, &ctx, {.stats = &tally_.work});
   ++tally_.queries;
   tally_.CountResult(result);
 
@@ -191,10 +191,6 @@ void Driver::DeterministicQuery(uint32_t pi, const PhaseSpec& p) {
     AddViolation(InvariantId::kResultValidity,
                  "phase " + p.name + " query " +
                      std::to_string(query_ordinal_) + ": " + bad);
-  }
-  if (qstats.blocks_searched != qstats.graph_blocks + qstats.exact_blocks) {
-    AddViolation(InvariantId::kMetricsConsistency,
-                 "blocks_searched != graph + exact in phase " + p.name);
   }
 
   outcome_.log.Append(EventKind::kQuery, pi, query_ordinal_,
@@ -359,11 +355,10 @@ void Driver::ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
       budget = QueryBudget::WithDeadline(q.budget_class);
       sp.budget = &budget;
     }
-    MbiQueryStats qstats;
     WallTimer timer;
     ++agg->queries;
-    Result<SearchResult> res =
-        index_->SearchAdmitted(q.vector, q.window, sp, &ctx, &qstats);
+    Result<SearchResult> res = index_->SearchAdmitted(
+        q.vector, q.window, sp, &ctx, {.stats = &agg->work});
     if (!res.ok()) {
       if (res.status().code() == StatusCode::kResourceExhausted) {
         ++agg->shed;
@@ -389,21 +384,14 @@ void Driver::ReaderLoop(const PhaseSpec& p, uint64_t thread_seed,
       agg->AddViolation(InvariantId::kResultValidity,
                         "phase " + p.name + " reader query: " + bad);
     }
-    if (qstats.blocks_searched != qstats.graph_blocks + qstats.exact_blocks) {
-      agg->AddViolation(InvariantId::kMetricsConsistency,
-                        "blocks_searched != graph + exact in phase " +
-                            p.name);
-    }
 
     // I2 sampling, against the same pinned view the query would have seen.
     ++ordinal;
     if (q.budget_class <= 0.0 && spec_.bounds.oracle_sample_every != 0 &&
         ordinal % spec_.bounds.oracle_sample_every == 0) {
       const ReadView view = index_->AcquireReadView();
-      MbiQueryStats vstats;
-      const SearchResult pinned =
-          index_->SearchView(view, q.vector, q.window, sp,
-                             spec_.index.tau, &ctx, &vstats);
+      const SearchResult pinned = index_->Search(
+          q.vector, q.window, sp, &ctx, {.view = &view, .stats = &agg->work});
       ++agg->view_calls;
       const SearchResult exact = ExactOracleTopK(
           index_->store(), view.num_vectors, q.vector, q.k, q.window);
@@ -419,14 +407,13 @@ void Driver::OverloadBurst(uint32_t pi, const PhaseSpec& p) {
   if (burst_threads == 0 || index_->size() == 0) return;
   constexpr size_t kQueriesPerBurstThread = 50;
 
-  std::atomic<size_t> issued{0};
-  std::atomic<size_t> shed{0};
-  std::atomic<size_t> degraded{0};
+  std::vector<QueryTally> tallies(burst_threads);
   ThreadPool burst(burst_threads);
   for (size_t t = 0; t < burst_threads; ++t) {
     const uint64_t seed =
         DeriveSeed(spec_.seed, SeedStream::kThreads, 7919 + t);
-    burst.Submit([this, &p, &issued, &shed, &degraded, seed] {
+    QueryTally* tally = &tallies[t];
+    burst.Submit([this, &p, seed, tally] {
       Rng rng(seed);
       QueryContext ctx(rng.Next());
       for (size_t i = 0; i < kQueriesPerBurstThread; ++i) {
@@ -439,25 +426,24 @@ void Driver::OverloadBurst(uint32_t pi, const PhaseSpec& p) {
         QueryBudget budget = QueryBudget::WithDeadline(
             q.budget_class > 0.0 ? q.budget_class : 0.05);
         sp.budget = &budget;
-        issued.fetch_add(1, std::memory_order_relaxed);
-        Result<SearchResult> res =
-            index_->SearchAdmitted(q.vector, q.window, sp, &ctx);
-        if (!res.ok()) {
-          shed.fetch_add(1, std::memory_order_relaxed);
-        } else if (res.value().degraded()) {
-          degraded.fetch_add(1, std::memory_order_relaxed);
+        ++tally->queries;
+        Result<SearchResult> res = index_->SearchAdmitted(
+            q.vector, q.window, sp, &ctx, {.stats = &tally->work});
+        if (res.ok()) {
+          tally->CountResult(res.value());
+        } else {
+          ++tally->shed;
         }
       }
     });
   }
   burst.Wait();
-  tally_.queries += issued.load();
-  tally_.shed += shed.load();
-  tally_.degraded += degraded.load();
-  tally_.complete += issued.load() - shed.load() - degraded.load();
+  QueryTally bursts;
+  for (const QueryTally& t : tallies) bursts.MergeFrom(t);
+  tally_.MergeFrom(bursts);
   ++outcome_.stats.overload_bursts;
-  outcome_.log.Append(EventKind::kOverloadBurst, pi, issued.load(),
-                      shed.load());
+  outcome_.log.Append(EventKind::kOverloadBurst, pi, bursts.queries,
+                      bursts.shed);
 }
 
 void Driver::RunPhaseConcurrent(uint32_t pi, const PhaseSpec& p) {
@@ -554,30 +540,27 @@ void Driver::CheckEndOfRun(const CounterDeltas& counters) {
     }
   }
 
-  // I3: p99 deadline overshoot — only meaningful when an injected delay
-  // makes per-unit work dominate scheduler noise.
-  const size_t overshoots = tally_.overshoot.count();
-  constexpr size_t kMinOvershootSamples = 20;
-  if (opts_.mode == RunMode::kConcurrent &&
-      opts_.injected_distance_delay_nanos > 0 &&
-      overshoots >= kMinOvershootSamples) {
-    if (outcome_.stats.p99_overshoot > spec_.bounds.p99_overshoot_factor) {
-      AddViolation(InvariantId::kDeadlineOvershoot,
-                   "p99 overshoot " +
-                       std::to_string(outcome_.stats.p99_overshoot) + " > " +
-                       std::to_string(spec_.bounds.p99_overshoot_factor) +
-                       " over " + std::to_string(overshoots) + " samples");
-    } else {
+  // I3: p99 deadline overshoot (only concurrent readers take samples).
+  if (const std::optional<std::string> bad =
+          CheckOvershoot(tally_.overshoot, opts_.injected_distance_delay_nanos,
+                         spec_.bounds.p99_overshoot_factor)) {
+    if (bad->empty()) {
       PassInvariant(InvariantId::kDeadlineOvershoot);
+    } else {
+      AddViolation(InvariantId::kDeadlineOvershoot, *bad);
     }
   }
 
   // I5: the process-wide obs counters must have moved exactly as many times
   // as the driver observed the corresponding outcome (no invalid query is
-  // ever issued).
+  // ever issued), and the block-work counters exactly as far as the summed
+  // records of every query say.
+  const MbiQueryStats& work = tally_.work;
   const std::vector<std::string> mismatches = counters.Mismatches(
       {tally_.queries - tally_.shed + tally_.view_calls, tally_.degraded,
-       tally_.shed, 0});
+       tally_.shed, 0, work.graph_blocks, work.exact_blocks,
+       work.search.distance_evaluations - work.exact_distance_evals,
+       work.exact_distance_evals});
   for (const std::string& m : mismatches) {
     AddViolation(InvariantId::kMetricsConsistency, m);
   }
@@ -612,7 +595,9 @@ Result<ScenarioOutcome> Driver::Run() {
 
   const CounterDeltas counters(
       {"mbi_queries_total", "mbi_query_degraded_total", "mbi_query_shed_total",
-       "mbi_query_invalid_total"});
+       "mbi_query_invalid_total", "mbi_search_graph_searches_total",
+       "mbi_search_exact_scans_total", "mbi_search_distance_evals_total",
+       "mbi_search_exact_distance_evals_total"});
 
   // Physical wall time for the stats block only — never logged, so it does
   // not affect replay determinism.
@@ -748,6 +733,7 @@ void QueryTally::MergeFrom(const QueryTally& other) {
   degraded += other.degraded;
   shed += other.shed;
   view_calls += other.view_calls;
+  work += other.work;
   hedges += other.hedges;
   shard_retries += other.shard_retries;
   partial_results += other.partial_results;

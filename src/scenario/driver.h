@@ -33,6 +33,7 @@
 #include "core/time_window.h"
 #include "core/types.h"
 #include "data/synthetic.h"
+#include "mbi/query_stats.h"
 #include "scenario/event_log.h"
 #include "scenario/invariants.h"
 #include "scenario/scenario.h"
@@ -56,8 +57,9 @@ struct RunOptions {
 
   /// Concurrent mode: per-distance busy-wait (see budget_testing) making
   /// work expensive enough that deadline overshoot measures the library's
-  /// polling granularity. Also gates the I3 check — without a delay the
-  /// ratio mostly measures scheduler noise on loaded CI machines.
+  /// polling granularity. Also gates the I3 check (CheckOvershoot) in both
+  /// drivers — without a delay the ratio mostly measures scheduler noise on
+  /// loaded CI machines. The shard driver applies it to its query storm.
   int64_t injected_distance_delay_nanos = 0;
 };
 
@@ -161,10 +163,12 @@ struct QueryTally {
   size_t complete = 0;
   size_t degraded = 0;
   size_t shed = 0;
-  size_t view_calls = 0;  ///< extra SearchView calls (recall sampling)
+  size_t view_calls = 0;  ///< extra Search calls on a pinned view (recall
+                          ///< sampling)
   size_t hedges = 0;
   size_t shard_retries = 0;
   size_t partial_results = 0;
+  MbiQueryStats work;     ///< summed records of the single-index queries
   MeanSink recall;
   PercentileSink overshoot;
   std::vector<Violation> violations;  ///< a reader keeps its first few

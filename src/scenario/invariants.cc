@@ -156,6 +156,20 @@ std::vector<std::string> CounterDeltas::Mismatches(
   return out;
 }
 
+std::optional<std::string> CheckOvershoot(const PercentileSink& overshoot,
+                                          int64_t injected_delay_nanos,
+                                          double bound) {
+  constexpr size_t kMinOvershootSamples = 20;
+  if (injected_delay_nanos <= 0 || overshoot.count() < kMinOvershootSamples) {
+    return std::nullopt;
+  }
+  const double p99 = overshoot.Quantile(0.99);
+  if (p99 <= bound) return "";
+  return "p99 overshoot " + std::to_string(p99) + " > " +
+         std::to_string(bound) + " over " + std::to_string(overshoot.count()) +
+         " samples";
+}
+
 double PercentileSink::Quantile(double q) const {
   if (values_.empty()) return 0.0;
   std::vector<double> sorted = values_;

@@ -29,6 +29,7 @@
 #define MBI_SCENARIO_INVARIANTS_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,16 @@ class PercentileSink {
  private:
   std::vector<double> values_;
 };
+
+/// I3, as both scenario drivers judge it: the p99 of `overshoot` (observed
+/// elapsed / deadline over deadline-bounded queries) must not exceed
+/// `bound`. A run is judged only when an injected per-distance delay makes
+/// per-unit work dominate scheduler noise and at least 20 samples exist.
+/// Returns nullopt when the run is not judged, an empty string when the
+/// bound holds, else an account of the violation.
+std::optional<std::string> CheckOvershoot(const PercentileSink& overshoot,
+                                          int64_t injected_delay_nanos,
+                                          double bound);
 
 /// Streaming mean for recall samples.
 class MeanSink {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -569,6 +570,10 @@ class ShardDriver {
     std::vector<QueryTally> aggs(threads);
     outcome_.log.Append(EventKind::kPhaseStart, 1);
     {
+      // Makes bounded storm queries expensive enough that their deadline
+      // overshoot measures the library's polling granularity (I3).
+      budget_testing::ScopedDistanceDelay delay_guard(
+          opts_.injected_distance_delay_nanos);
       ThreadPool storm(threads);
       for (size_t t = 0; t < threads; ++t) {
         const uint64_t seed = scenario::DeriveSeed(
@@ -635,8 +640,10 @@ class ShardDriver {
         sp.budget = &budget;
       }
       ShardQueryTrace trace;
+      WallTimer timer;
       Result<SearchResult> res =
           sharded_->Search(q.vector, q.window, sp, &ctx, &trace);
+      const double elapsed = timer.ElapsedSeconds();
       ++agg->queries;
       if (!res.ok()) {
         agg->AddViolation(
@@ -647,10 +654,11 @@ class ShardDriver {
       }
       const SearchResult& result = res.value();
       CountFanout(result, trace, agg);
-      // I4 against the oracle store: the same rows under the same global ids,
-    // never written while storm readers run.
-    std::string bad = scenario::CheckResultValidity(
-        *oracle_, committed, q.window, q.vector, q.k, result);
+      if (bounded) agg->overshoot.Add(elapsed / spec_.storm_deadline_seconds);
+      // I4 against the oracle store: the same rows under the same global
+      // ids, never written while storm readers run.
+      std::string bad = scenario::CheckResultValidity(
+          *oracle_, committed, q.window, q.vector, q.k, result);
       if (!bad.empty()) {
         agg->AddViolation(InvariantId::kResultValidity, "storm query: " + bad);
       }
@@ -685,6 +693,13 @@ class ShardDriver {
                    "mean recall " + std::to_string(recall.Mean()) +
                        " below floor " + std::to_string(spec_.recall_floor));
     }
+    // I3, judged only on concurrent storms run with an injected delay.
+    const std::optional<std::string> overshoot = scenario::CheckOvershoot(
+        tally_.overshoot, opts_.injected_distance_delay_nanos,
+        scenario::kCatalogP99OvershootFactor);
+    if (overshoot.has_value() && !overshoot->empty()) {
+      AddViolation(InvariantId::kDeadlineOvershoot, *overshoot);
+    }
     const auto log_invariant = [this](InvariantId id) {
       bool pass = true;
       for (const Violation& v : outcome_.violations) {
@@ -699,6 +714,7 @@ class ShardDriver {
     log_invariant(InvariantId::kMetricsConsistency);
     log_invariant(InvariantId::kShardOracleMatch);
     log_invariant(InvariantId::kShardRetryBudget);
+    if (overshoot.has_value()) log_invariant(InvariantId::kDeadlineOvershoot);
   }
 
   const ShardScenarioSpec spec_;

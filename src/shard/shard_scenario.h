@@ -19,6 +19,8 @@
 //                          passes scenario::CheckResultValidity against the
 //                          oracle: in-window rows, honest distances, sorted,
 //                          no duplicate ids.
+//   I3 p99-overshoot       as in the core catalog, over the concurrent
+//                          storm's deadline-bounded queries
 //
 // Two catalog scenarios:
 //
@@ -116,7 +118,8 @@ struct ShardScenarioSpec {
   size_t oracle_sample_every = 3;
 
   /// Concurrent mode: storm reader threads, and the wall-clock deadline a
-  /// seed-derived half of storm queries carries (0 = all unbounded).
+  /// seed-derived half of storm queries carries (0 = all unbounded). The
+  /// bounded ones feed I3's overshoot samples.
   size_t query_threads = 3;
   double storm_deadline_seconds = 0.0;
 

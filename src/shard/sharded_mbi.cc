@@ -830,15 +830,4 @@ Result<SearchResult> ShardedMbi::Search(const float* query,
   return merged;
 }
 
-ShardQueryTrace ShardedMbi::Explain(const float* query,
-                                    const TimeWindow& window,
-                                    const SearchParams& search,
-                                    QueryContext* ctx) const {
-  ShardQueryTrace trace;
-  // EXPLAIN reports whatever the probe query observed; a failed search
-  // still yields a useful (partial) trace and has no status channel here.
-  MBI_IGNORE_STATUS(Search(query, window, search, ctx, &trace));
-  return trace;
-}
-
 }  // namespace mbi::shard

@@ -192,11 +192,6 @@ class ShardedMbi {
                               ShardQueryTrace* trace = nullptr) const
       MBI_EXCLUDES(mu_);
 
-  /// EXPLAIN: runs the query and returns the fan-out trace.
-  ShardQueryTrace Explain(const float* query, const TimeWindow& window,
-                          const SearchParams& search, QueryContext* ctx) const
-      MBI_EXCLUDES(mu_);
-
   size_t dim() const { return dim_; }
   Metric metric() const { return metric_; }
   const ShardedMbiParams& params() const { return params_; }

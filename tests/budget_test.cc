@@ -276,8 +276,8 @@ TEST_F(BudgetSearchTest, ExplainCarriesBudgetSpend) {
   budget.max_distance_evals = 200;
   sp.budget = &budget;
   obs::QueryTrace trace;
-  (void)index_->Search(data_.vector(0), Window(0, kN - 1), sp, &ctx, nullptr,
-                       &trace);
+  (void)index_->Search(data_.vector(0), Window(0, kN - 1), sp, &ctx,
+                       {.trace = &trace});
   EXPECT_TRUE(trace.budget.bounded);
   EXPECT_EQ(trace.budget.max_distance_evals, 200u);
   EXPECT_GT(trace.budget.distance_evals_spent, 0u);

@@ -167,8 +167,8 @@ TEST_F(ConcurrencyFixture, WriterInterleavedWithReaders) {
         const size_t qi = rng.NextBounded(32);
         const uint64_t seed = 77000 + static_cast<uint64_t>(t) * 1000 + iter;
         QueryContext ctx(seed);
-        SearchResult r = live.SearchView(view, queries_.data() + qi * kDim, w,
-                                         sp, p.tau, &ctx);
+        SearchResult r = live.Search(queries_.data() + qi * kDim, w, sp, &ctx,
+                                     {.view = &view});
         for (const Neighbor& nb : r) {
           const Timestamp ts = live.store().GetTimestamp(nb.id);
           if (ts < w.start || ts >= w.end) violations.fetch_add(1);
@@ -200,8 +200,8 @@ TEST_F(ConcurrencyFixture, WriterInterleavedWithReaders) {
   for (const auto& per_thread : samples) {
     for (const Sample& s : per_thread) {
       QueryContext ctx(s.seed);
-      SearchResult again = live.SearchView(
-          s.view, queries_.data() + s.query * kDim, s.window, sp, p.tau, &ctx);
+      SearchResult again = live.Search(queries_.data() + s.query * kDim,
+                                       s.window, sp, &ctx, {.view = &s.view});
       EXPECT_EQ(again, s.result);
       ++replayed;
     }

@@ -63,7 +63,7 @@ TEST_F(ExtensionsFixture, AdaptiveShortWindowsAreExact) {
   for (size_t qi = 0; qi < 10; ++qi) {
     const float* q = queries_.data() + qi * kDim;
     MbiQueryStats stats;
-    SearchResult got = index->Search(q, w, sp, &ctx, &stats);
+    SearchResult got = index->Search(q, w, sp, &ctx, {.stats = &stats});
     SearchResult want = bsbf_->Search(q, 5, w);
     EXPECT_EQ(stats.graph_blocks, 0u);
     ASSERT_EQ(got.size(), want.size());
@@ -81,7 +81,8 @@ TEST_F(ExtensionsFixture, AdaptiveLongWindowsStillUseGraphs) {
   sp.max_candidates = 16;  // graph cost ~ 16*16 = 256 evals
   sp.num_entry_points = 4;
   MbiQueryStats stats;
-  index->Search(queries_.data(), TimeWindow{0, 2000}, sp, &ctx, &stats);
+  index->Search(queries_.data(), TimeWindow{0, 2000}, sp, &ctx,
+                {.stats = &stats});
   EXPECT_GT(stats.graph_blocks, 0u);
 }
 
@@ -163,7 +164,7 @@ TEST_F(ExtensionsFixture, CalibrationPicksATauPerFraction) {
   }
 }
 
-TEST_F(ExtensionsFixture, SearchWithTauMatchesParamsTau) {
+TEST_F(ExtensionsFixture, TauOptionMatchesParamsTau) {
   auto index = Build(false);
   QueryContext ctx_a(9), ctx_b(9);
   SearchParams sp;
@@ -171,8 +172,8 @@ TEST_F(ExtensionsFixture, SearchWithTauMatchesParamsTau) {
   sp.max_candidates = 48;
   TimeWindow w{200, 1500};
   SearchResult a = index->Search(queries_.data(), w, sp, &ctx_a);
-  SearchResult b = index->SearchWithTau(queries_.data(), w, sp,
-                                        index->params().tau, &ctx_b);
+  SearchResult b = index->Search(queries_.data(), w, sp, &ctx_b,
+                                 {.tau = index->params().tau});
   EXPECT_EQ(a, b);
 }
 

@@ -127,8 +127,8 @@ TEST_F(IntegrationFixture, MbiSearchesFewBlocksWithTauHalf) {
   for (const auto& wq : wl) {
     MbiQueryStats stats;
     perfect.Search(queries_.data() + wq.query_index * kDim, wq.window, sp,
-                   &ctx, &stats);
-    EXPECT_LE(stats.blocks_searched, 2u);
+                   &ctx, {.stats = &stats});
+    EXPECT_LE(stats.blocks_searched(), 2u);
   }
   // The incomplete 3000-vector tree may legitimately use a few more blocks
   // (virtual nodes always recurse), but stays small.
@@ -136,8 +136,8 @@ TEST_F(IntegrationFixture, MbiSearchesFewBlocksWithTauHalf) {
   for (const auto& wq : wl2) {
     MbiQueryStats stats;
     mbi_->Search(queries_.data() + wq.query_index * kDim, wq.window, sp, &ctx,
-                 &stats);
-    EXPECT_LE(stats.blocks_searched, 5u);
+                 {.stats = &stats});
+    EXPECT_LE(stats.blocks_searched(), 5u);
   }
 }
 

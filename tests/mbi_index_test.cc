@@ -184,8 +184,8 @@ TEST(MbiIndexTest, QueryOnPartialLeafOnlyIndex) {
   SearchParams sp;
   sp.k = 3;
   MbiQueryStats stats;
-  SearchResult got =
-      index.Search(data.vector(0), TimeWindow::All(), sp, &ctx, &stats);
+  SearchResult got = index.Search(data.vector(0), TimeWindow::All(), sp, &ctx,
+                                  {.stats = &stats});
   ASSERT_EQ(got.size(), 3u);
   EXPECT_EQ(got[0].id, 0);  // the query vector itself
   EXPECT_EQ(stats.graph_blocks, 0u);
@@ -277,7 +277,8 @@ TEST(MbiIndexTest, SelectSearchBlocksMatchesShapeSelection) {
   ASSERT_TRUE(index.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
                   .ok());
   // Timestamps are 0..n-1, so windows map 1:1 to id ranges.
-  auto sel = index.SelectSearchBlocks(TimeWindow{10, 70});
+  auto sel = index.SelectSearchBlocksForRange(
+      index.store().FindRange(TimeWindow{10, 70}), index.params().tau);
   ASSERT_FALSE(sel.empty());
   int64_t covered_begin = sel.front().range.begin;
   int64_t covered_end = sel.back().range.end;
@@ -316,22 +317,6 @@ TEST(MbiIndexTest, GaugesAggregateAcrossCoexistingInstances) {
   b.reset();
   EXPECT_DOUBLE_EQ(vectors->Value() - v0, 0);
   EXPECT_DOUBLE_EQ(blocks->Value() - b0, 0);
-}
-
-TEST(MbiIndexTest, SearchAllEqualsWholeWindow) {
-  const size_t kN = 64, kDim = 4;
-  SyntheticData data = MakeData(kN, kDim, 81);
-  MbiParams p = SmallParams(16);
-  p.block_kind = BlockIndexKind::kFlat;
-  MbiIndex index(kDim, Metric::kL2, p);
-  ASSERT_TRUE(index.AddBatch(data.vectors.data(), data.timestamps.data(), kN)
-                  .ok());
-  QueryContext ctx;
-  SearchParams sp;
-  sp.k = 7;
-  SearchResult a = index.SearchAll(data.vector(0), sp, &ctx);
-  SearchResult b = index.Search(data.vector(0), TimeWindow::All(), sp, &ctx);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ TEST(MbiIoTest, PartialLeafSurvivesRoundTrip) {
   sp.k = 3;
   MbiQueryStats stats;
   loaded->Search(loaded->store().GetVector(70), TimeWindow{70, 77}, sp, &ctx,
-                 &stats);
+                 {.stats = &stats});
   EXPECT_EQ(stats.exact_blocks, 1u);
 }
 

@@ -1,8 +1,10 @@
 // Observability layer: histogram bucket/percentile math, counter and
 // histogram thread-safety under ThreadPool hammering, registry exposition
-// (Prometheus text + JSON), and the QueryTrace EXPLAIN round-trip on a known
-// small index (Lemma 4.1 visible in the trace).
+// (Prometheus text + JSON), the QueryTrace EXPLAIN round-trip on a known
+// small index (Lemma 4.1 visible in the trace), and the query metrics derived
+// from the per-query record.
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -11,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include "baseline/bsbf.h"
+#include "baseline/sf_index.h"
 #include "data/synthetic.h"
 #include "mbi/mbi_index.h"
 #include "obs/export.h"
@@ -182,6 +186,10 @@ TEST(MetricRegistryTest, StablePointersAndReset) {
 TEST(MetricRegistryTest, PrometheusExposition) {
   MetricRegistry reg;
   reg.GetCounter("requests_total", "served requests")->Increment(3);
+  // A reader that looks a counter up by name first must not hide the help
+  // text its owner registers later.
+  reg.GetCounter("reads_total");
+  reg.GetCounter("reads_total", "served reads");
   reg.GetGauge("temperature")->Set(21.5);
   Histogram* h =
       reg.GetHistogram("latency_seconds", Histogram::LinearBounds(1, 1, 2));
@@ -193,6 +201,7 @@ TEST(MetricRegistryTest, PrometheusExposition) {
   EXPECT_NE(text.find("# HELP requests_total served requests"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE requests_total counter"), std::string::npos);
+  EXPECT_NE(text.find("# HELP reads_total served reads"), std::string::npos);
   EXPECT_NE(text.find("requests_total 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE temperature gauge"), std::string::npos);
   EXPECT_NE(text.find("temperature 21.5"), std::string::npos);
@@ -282,21 +291,25 @@ TEST_F(QueryTraceTest, TracedQueryObeysLemma41AndRoundTrips) {
   const TimeWindow window{data_.timestamps[40], data_.timestamps[200]};
   MbiQueryStats stats;
   obs::QueryTrace trace;
-  const SearchResult result =
-      index_->Search(data_.vector(0), window, sp, &ctx, &stats, &trace);
+  const SearchResult result = index_->Search(
+      data_.vector(0), window, sp, &ctx, {.stats = &stats, .trace = &trace});
 
   ASSERT_FALSE(result.empty());
   EXPECT_LE(trace.blocks.size(), 2u);  // Lemma 4.1 at tau <= 0.5
-  EXPECT_EQ(trace.blocks.size(), stats.blocks_searched);
-  EXPECT_EQ(stats.blocks_searched, stats.graph_blocks + stats.exact_blocks);
+  EXPECT_EQ(trace.blocks.size(), stats.blocks_searched());
   EXPECT_GT(stats.search.distance_evaluations, 0u);
 
-  // The trace's per-block counters sum to the aggregate stats.
-  const SearchStats total = trace.TotalStats();
-  EXPECT_EQ(total.distance_evaluations, stats.search.distance_evaluations);
-  EXPECT_EQ(total.nodes_expanded, stats.search.nodes_expanded);
-  EXPECT_EQ(trace.GraphBlocks(), stats.graph_blocks);
-  EXPECT_EQ(trace.ExactBlocks(), stats.exact_blocks);
+  // The trace's totals are the query's record, and its per-block counters
+  // sum to it.
+  EXPECT_EQ(trace.totals, stats);
+  SearchStats total;
+  size_t graph_blocks = 0;
+  for (const obs::BlockTrace& b : trace.blocks) {
+    total += b.stats;
+    graph_blocks += b.used_graph ? 1 : 0;
+  }
+  EXPECT_EQ(total, stats.search);
+  EXPECT_EQ(graph_blocks, stats.graph_blocks);
   EXPECT_EQ(trace.results_returned, result.size());
 
   // Selection trace: the visited path exists and every selected block
@@ -323,21 +336,42 @@ TEST_F(QueryTraceTest, TracedQueryObeysLemma41AndRoundTrips) {
 }
 
 TEST_F(QueryTraceTest, ExplainMatchesUntracedSearch) {
-  QueryContext ctx(123);
   SearchParams sp;
   sp.k = 5;
   sp.max_candidates = 32;
   const TimeWindow window{data_.timestamps[0], data_.timestamps[128]};
 
-  const obs::QueryTrace trace =
-      index_->Explain(data_.vector(1), window, sp, &ctx);
+  // The same query with and without a trace, from equally seeded contexts.
+  QueryContext traced_ctx(123), plain_ctx(123);
+  MbiQueryStats traced_stats, plain_stats;
+  obs::QueryTrace trace;
+  const SearchResult traced =
+      index_->Search(data_.vector(1), window, sp, &traced_ctx,
+                     {.stats = &traced_stats, .trace = &trace});
+  const SearchResult plain = index_->Search(
+      data_.vector(1), window, sp, &plain_ctx, {.stats = &plain_stats});
+
+  // Tracing changes nothing: same ids, same distance bits, same record.
+  ASSERT_FALSE(plain.empty());
+  ASSERT_EQ(traced.size(), plain.size());
+  for (size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(traced[i].id, plain[i].id) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(traced[i].distance),
+              std::bit_cast<uint32_t>(plain[i].distance))
+        << "rank " << i;
+  }
+  EXPECT_EQ(traced.completion, plain.completion);
+  EXPECT_EQ(traced_stats, plain_stats);
+  EXPECT_EQ(trace.totals, plain_stats);
+
   EXPECT_FALSE(trace.blocks.empty());
   EXPECT_LE(trace.blocks.size(), 2u);
-  EXPECT_GT(trace.results_returned, 0u);
+  EXPECT_EQ(trace.results_returned, plain.size());
   EXPECT_EQ(trace.tau, index_->params().tau);
 
-  // The trace's block set equals what SelectSearchBlocks reports.
-  const std::vector<SelectedBlock> sel = index_->SelectSearchBlocks(window);
+  // The trace's block set equals what selection reports for its id range.
+  const std::vector<SelectedBlock> sel = index_->SelectSearchBlocksForRange(
+      trace.id_range, index_->params().tau);
   ASSERT_EQ(sel.size(), trace.blocks.size());
   for (size_t i = 0; i < sel.size(); ++i) {
     EXPECT_EQ(sel[i].node, trace.blocks[i].node);
@@ -352,13 +386,13 @@ TEST_F(QueryTraceTest, TraceIsResetBetweenQueries) {
   obs::QueryTrace trace;
   (void)index_->Search(data_.vector(2),
                        {data_.timestamps[0], data_.timestamps[250]}, sp, &ctx,
-                       nullptr, &trace);
+                       {.trace = &trace});
   const size_t first_blocks = trace.blocks.size();
   EXPECT_GT(first_blocks, 0u);
   // Re-using the same trace object must not accumulate.
   (void)index_->Search(data_.vector(2),
                        {data_.timestamps[0], data_.timestamps[250]}, sp, &ctx,
-                       nullptr, &trace);
+                       {.trace = &trace});
   EXPECT_EQ(trace.blocks.size(), first_blocks);
 }
 
@@ -382,7 +416,7 @@ TEST(ObsDefaultRegistryTest, QueryPathPopulatesGlobalMetrics) {
   QueryContext ctx(9);
   SearchParams sp;
   sp.k = 3;
-  (void)index.SearchAll(data.vector(0), sp, &ctx);
+  (void)index.Search(data.vector(0), TimeWindow::All(), sp, &ctx);
   EXPECT_GT(queries->Value(), before);
   EXPECT_GT(reg.GetCounter("mbi_build_blocks_built_total")->Value(), 0u);
   EXPECT_GT(reg.GetCounter("mbi_selection_nodes_visited_total")->Value(), 0u);
@@ -390,6 +424,72 @@ TEST(ObsDefaultRegistryTest, QueryPathPopulatesGlobalMetrics) {
   // The default registry must expose cleanly in both formats.
   EXPECT_FALSE(obs::PrometheusText(reg).empty());
   EXPECT_TRUE(JsonBalanced(obs::RegistryJson(reg)));
+}
+
+// The mbi_search_* series are derived from MbiIndex::Search's per-query
+// record, and only from it: baseline queries (BSBF's exact scan, SF's graph
+// search) run the same kernels but are not MBI queries.
+TEST(ObsDefaultRegistryTest, SearchSeriesMoveByTheQueryRecordOnly) {
+  MetricRegistry& reg = MetricRegistry::Default();
+  const std::vector<Counter*> series = {
+      reg.GetCounter("mbi_search_graph_searches_total"),
+      reg.GetCounter("mbi_search_exact_scans_total"),
+      reg.GetCounter("mbi_search_distance_evals_total"),
+      reg.GetCounter("mbi_search_exact_distance_evals_total")};
+  const auto read = [&series] {
+    std::vector<uint64_t> values;
+    for (const Counter* c : series) values.push_back(c->Value());
+    return values;
+  };
+  const auto moved = [&read](const std::vector<uint64_t>& before) {
+    std::vector<uint64_t> now = read();
+    for (size_t i = 0; i < now.size(); ++i) now[i] -= before[i];
+    return now;
+  };
+
+  // 8 full leaves plus a 6-row tail: a whole-history query searches graph
+  // blocks and exact-scans the tail.
+  constexpr size_t kN = 70, kDim = 4;
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 13;
+  const SyntheticData data = GenerateSynthetic(gen, kN);
+  MbiParams p;
+  p.leaf_size = 8;
+  p.build.degree = 4;
+  p.build.exact_threshold = 1 << 20;
+  MbiIndex index(kDim, Metric::kL2, p);
+  ASSERT_TRUE(
+      index.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+  BsbfIndex bsbf(kDim, Metric::kL2);
+  ASSERT_TRUE(
+      bsbf.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+  SfIndex sf(kDim, Metric::kL2, p.build);
+  ASSERT_TRUE(
+      sf.AddBatch(data.vectors.data(), data.timestamps.data(), kN).ok());
+  sf.Build();
+
+  SearchParams sp;
+  sp.k = 5;
+  QueryContext ctx(21);
+  std::vector<uint64_t> before = read();
+  MbiQueryStats rec;
+  ASSERT_FALSE(index
+                   .Search(data.vector(3), TimeWindow::All(), sp, &ctx,
+                           {.stats = &rec})
+                   .empty());
+  ASSERT_GT(rec.graph_blocks, 0u);
+  ASSERT_GT(rec.exact_blocks, 0u);
+  const std::vector<uint64_t> want = {
+      rec.graph_blocks, rec.exact_blocks,
+      rec.search.distance_evaluations - rec.exact_distance_evals,
+      rec.exact_distance_evals};
+  EXPECT_EQ(moved(before), want);
+
+  before = read();
+  ASSERT_FALSE(bsbf.Search(data.vector(3), sp.k, TimeWindow::All()).empty());
+  ASSERT_FALSE(sf.Search(data.vector(3), TimeWindow::All(), sp, &ctx).empty());
+  EXPECT_EQ(moved(before), std::vector<uint64_t>(series.size(), 0));
 }
 
 }  // namespace

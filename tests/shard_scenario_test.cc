@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/catalog.h"
 #include "scenario/driver.h"
 #include "scenario/event_log.h"
 #include "scenario/invariants.h"
@@ -169,6 +170,30 @@ TEST(ShardScenarioConcurrent, CrashRequeryStormStaysValid) {
   opts.mode = RunMode::kConcurrent;
   const ScenarioOutcome outcome = MustRun(spec, opts);
   EXPECT_TRUE(outcome.ok()) << Violations(outcome);
+}
+
+// With an injected distance delay the storm's deadline-bounded queries are
+// sampled and I3 is judged with the core driver's rule, as in the
+// single-index catalog.
+TEST(ShardScenarioConcurrent, StormJudgesDeadlineOvershoot) {
+  const ShardScenarioSpec spec = MustGet("shard_brownout", 13);
+  RunOptions opts;
+  opts.mode = RunMode::kConcurrent;
+  opts.injected_distance_delay_nanos = 1000;
+  const ScenarioOutcome outcome = MustRun(spec, opts);
+  EXPECT_TRUE(outcome.ok()) << Violations(outcome);
+  EXPECT_GE(outcome.stats.overshoot_samples, 20u);
+  EXPECT_LE(outcome.stats.p99_overshoot, scenario::kCatalogP99OvershootFactor);
+  constexpr auto kI3 =
+      static_cast<uint64_t>(scenario::InvariantId::kDeadlineOvershoot);
+  size_t judged = 0;
+  for (const scenario::Event& e : outcome.log.events()) {
+    if (e.kind == scenario::EventKind::kInvariant && e.a == kI3) {
+      ++judged;
+      EXPECT_EQ(e.b, 1u);  // held
+    }
+  }
+  EXPECT_EQ(judged, 1u);
 }
 
 TEST(ShardScenarioSoak, LongVariantsUnderConcurrency) {

@@ -558,15 +558,15 @@ TEST(QueryBudgetSlice, DividesWorkCapsSharesDeadline) {
 
 // ----------------------------------------------------------- explain --
 
-TEST(ShardedMbi, ExplainReportsFanOut) {
+TEST(ShardedMbi, TraceReportsFanOut) {
   ShardedMbi index(8, Metric::kL2, FlatParams(25));
   FillSharded(&index, 100, 79);
   SearchParams sp;
   sp.k = 5;
   QueryContext ctx(5);
   const float q[8] = {};
-  const ShardQueryTrace trace =
-      index.Explain(q, TimeWindow{0, 60}, sp, &ctx);
+  ShardQueryTrace trace;
+  ASSERT_TRUE(index.Search(q, TimeWindow{0, 60}, sp, &ctx, &trace).ok());
   EXPECT_EQ(trace.shards_selected, 3u);
   const std::string text = trace.ToString();
   EXPECT_NE(text.find("shard"), std::string::npos);
