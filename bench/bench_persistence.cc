@@ -44,35 +44,6 @@ std::unique_ptr<MbiIndex> BuildPrefix(const Corpus& c, size_t n) {
   return index;
 }
 
-uint64_t FileSizeOrZero(const std::string& path) {
-  auto r = persist::FileSystem::Posix()->GetFileSize(path);
-  return r.ok() ? r.value() : 0;
-}
-
-void BenchFullSave(const Corpus& c, size_t n, obs::MetricRegistry& reg) {
-  auto index = BuildPrefix(c, n);
-  const std::string path = "/tmp/mbi_bench_persist.idx";
-  WallTimer timer;
-  MBI_CHECK_OK(index->Save(path));
-  const double secs = timer.ElapsedSeconds();
-  const double mb = FileSizeOrZero(path) / 1e6;
-
-  timer.Restart();
-  auto loaded = MbiIndex::Load(path);
-  MBI_CHECK_OK(loaded.status());
-  const double load_secs = timer.ElapsedSeconds();
-
-  reg.GetGauge("bench_persist_save_mb", "full checkpoint size")->Set(mb);
-  reg.GetGauge("bench_persist_save_mb_per_s", "Save bandwidth")
-      ->Set(secs > 0 ? mb / secs : 0);
-  reg.GetGauge("bench_persist_load_mb_per_s", "Load bandwidth")
-      ->Set(load_secs > 0 ? mb / load_secs : 0);
-  std::printf("full save   n=%zu  %.1f MB  save %.1f MB/s  load %.1f MB/s\n",
-              n, mb, secs > 0 ? mb / secs : 0,
-              load_secs > 0 ? mb / load_secs : 0);
-  std::remove(path.c_str());
-}
-
 void BenchIncremental(const Corpus& c, size_t n, obs::MetricRegistry& reg) {
   const std::string dir = "/tmp/mbi_bench_persist_ckpt";
   stdfs::remove_all(dir);
@@ -143,7 +114,6 @@ int Main() {
   Corpus c = MakeCorpus(n);
   auto& reg = obs::MetricRegistry::Default();
 
-  BenchFullSave(c, n, reg);
   BenchIncremental(c, n, reg);
   BenchRecoveryVsTail(c, n, reg);
 

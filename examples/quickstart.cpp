@@ -4,9 +4,11 @@
 //   $ ./quickstart
 //
 // Walks through the full public API: MbiParams -> MbiIndex::Add ->
-// MbiIndex::Search, plus index statistics and save/load.
+// MbiIndex::Search, plus index statistics and checkpoint/recover.
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
 
 #include "data/synthetic.h"
 #include "mbi/mbi_index.h"
@@ -78,18 +80,24 @@ int main() {
     }
   }
 
-  // 4. Persist and reload.
-  const char* path = "/tmp/quickstart.mbi";
-  if (Status s = index.Save(path); !s.ok()) {
-    std::fprintf(stderr, "save failed: %s\n", s.ToString().c_str());
+  // 4. Persist and reload: Checkpoint writes a crash-safe checkpoint
+  //    directory, Recover rebuilds an identical index from it.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "mbi_quickstart").string();
+  std::filesystem::remove_all(dir);  // Checkpoint reuses segments it finds
+  if (Status s = index.Checkpoint(dir); !s.ok()) {
+    std::fprintf(stderr, "checkpoint failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  auto loaded = MbiIndex::Load(path);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "load failed: %s\n", loaded.status().ToString().c_str());
+  auto recovered = MbiIndex::Recover(dir);
+  if (!recovered.ok()) {
+    std::fprintf(stderr, "recover failed: %s\n",
+                 recovered.status().ToString().c_str());
     return 1;
   }
-  std::printf("\nreloaded index from %s: %zu vectors, %zu blocks\n", path,
-              loaded.value()->size(), loaded.value()->num_blocks());
+  std::printf("\nrecovered index from %s: %zu vectors, %zu blocks\n",
+              dir.c_str(), recovered.value()->size(),
+              recovered.value()->num_blocks());
+  std::filesystem::remove_all(dir);
   return 0;
 }

@@ -413,11 +413,9 @@ void MbiIndex::PublishSnapshot() {
 }
 
 void MbiIndex::InstallBlocks(
-    std::vector<std::shared_ptr<const BlockKnnIndex>> blocks,
-    bool build_pending) {
+    std::vector<std::shared_ptr<const BlockKnnIndex>> blocks) {
   MutexLock lock(writer_mu_);
   blocks_ = std::move(blocks);
-  if (build_pending) BuildPendingBlocks();
   PublishSnapshot();
 }
 
@@ -632,8 +630,7 @@ SearchResult MbiIndex::Search(const float* query, const TimeWindow& window,
               sel.range.size(),
               static_cast<int64_t>(block_search.max_candidates))) *
           static_cast<double>(params_.build.degree);
-      if (static_cast<double>(block_in_window) <=
-          params_.adaptive_scan_factor * graph_cost) {
+      if (static_cast<double>(block_in_window) <= graph_cost) {
         use_graph = false;
       }
     }

@@ -40,6 +40,8 @@ class FileSystem;
 }
 
 /// Construction-time and query-time parameters of MBI (paper Table 3).
+/// Checkpoint writes every field into the manifest and Recover restores it,
+/// so a new field needs its line in mbi_io.cc's header too.
 struct MbiParams {
   /// Leaf block capacity S_L.
   int64_t leaf_size = 10000;
@@ -61,11 +63,10 @@ struct MbiParams {
 
   /// Extension (off by default for paper fidelity): per selected block,
   /// fall back to an exact scan when the block's in-window vector count is
-  /// at most adaptive_scan_factor * M_C * degree — the expected number of
-  /// distance evaluations of the graph search. Makes MBI at least as fast
-  /// as BSBF on short windows at any scale; see bench_ablation_adaptive.
+  /// at most M_C * degree — the expected number of distance evaluations of
+  /// the graph search. Makes MBI at least as fast as BSBF on short windows
+  /// at any scale; see bench_ablation_adaptive.
   bool adaptive_block_search = false;
-  double adaptive_scan_factor = 1.0;
 
   /// Admission control: maximum queries in flight through SearchAdmitted
   /// at once (0 = unlimited). Excess queries are shed immediately with
@@ -156,9 +157,9 @@ struct QueryOptions {
 /// writer and vice versa; each query pins a ReadView and sees the committed
 /// prefix it describes. The writer side serializes on an internal mutex and
 /// every writer-side field is MBI_GUARDED_BY it, so the contract is checked
-/// at compile time under Clang -Wthread-safety. Save/Checkpoint work off a
-/// pinned ReadView and are safe during live ingest; Load/Recover construct a
-/// fresh index and need no synchronization.
+/// at compile time under Clang -Wthread-safety. Checkpoint works off a
+/// pinned ReadView and is safe during live ingest; Recover constructs a
+/// fresh index and needs no synchronization.
 class MbiIndex {
  public:
   /// Creates an empty index for `dim`-dimensional vectors under `metric`.
@@ -263,24 +264,6 @@ class MbiIndex {
 
   MbiStats GetStats() const;
 
-  /// Serialization to a single file (format MBIX0002): a sectioned layout
-  /// with per-section CRC32C checksums, published atomically via
-  /// tmp + fsync + rename so a crash mid-Save leaves any previous file
-  /// intact. Safe to call from a reader thread during live ingest: the
-  /// written state is a pinned ReadView (committed prefix + its blocks).
-  /// `fs` (POSIX when null) exists for fault-injection tests.
-  Status Save(const std::string& path,
-              persist::FileSystem* fs = nullptr) const;
-
-  /// Loads an index previously written by Save (format MBIX0002). Every
-  /// length field is validated against the remaining file size before
-  /// allocation and every section checksum is verified, so corruption yields
-  /// a clean non-OK Status (never a crash, OOM or silently wrong index).
-  /// Blocks the saved snapshot had not yet covered are rebuilt
-  /// deterministically.
-  static Result<std::unique_ptr<MbiIndex>> Load(
-      const std::string& path, persist::FileSystem* fs = nullptr);
-
   /// Incremental crash-safe checkpoint into directory `dir`. Immutable
   /// per-leaf vector segments and per-block index segments are written once
   /// (atomically) and reused by later checkpoints; the committed tail beyond
@@ -292,10 +275,13 @@ class MbiIndex {
   Status Checkpoint(const std::string& dir,
                     persist::FileSystem* fs = nullptr) const;
 
-  /// Rebuilds an index from a checkpoint directory: loads the manifest,
-  /// segments and valid clean prefix of the tail log, then re-runs the merge
-  /// cascades for the tail — deterministic builds make the result bit-exact
-  /// with the pre-crash index. Corruption yields a clean non-OK Status.
+  /// Rebuilds an index from a checkpoint directory: loads the manifest
+  /// (dim, metric and every MbiParams field), segments and valid clean
+  /// prefix of the tail log, then re-runs the merge cascades for the tail —
+  /// deterministic builds make the result bit-exact with the pre-crash
+  /// index. Every length is validated against the bytes on disk before
+  /// allocation and every byte is CRC-checked, so corruption yields a clean
+  /// non-OK Status (never a crash, OOM or silently wrong index).
   static Result<std::unique_ptr<MbiIndex>> Recover(
       const std::string& dir, persist::FileSystem* fs = nullptr);
 
@@ -316,11 +302,10 @@ class MbiIndex {
   // refreshes the process-wide index gauges.
   void PublishSnapshot() MBI_REQUIRES(writer_mu_);
 
-  // Installs the block list read by MbiIo (Load/Recover) and publishes the
-  // first snapshot; with `build_pending` the blocks the saved snapshot had
-  // not yet covered are rebuilt deterministically.
-  void InstallBlocks(std::vector<std::shared_ptr<const BlockKnnIndex>> blocks,
-                     bool build_pending) MBI_EXCLUDES(writer_mu_);
+  // Installs the block list read by MbiIo::Recover and publishes the first
+  // snapshot.
+  void InstallBlocks(std::vector<std::shared_ptr<const BlockKnnIndex>> blocks)
+      MBI_EXCLUDES(writer_mu_);
 
   // Algorithm 4 selection against an explicit (covered_end, num_vectors)
   // view: tree selection over the covered prefix plus the committed tail

@@ -1,17 +1,5 @@
-// MbiIndex persistence: sectioned checksummed single-file snapshots
-// (Save/Load, format MBIX0002) and incremental
-// crash-safe checkpoints (Checkpoint/Recover).
-//
-// Single file (MBIX0002):
-//
-//   [8B magic][u32 num_sections = 3][table: 3 x {u64 len, u32 crc32c}]
-//   [params section][store section][blocks section]
-//
-// The table is patched in place once the sections are streamed out; the file
-// is published with tmp + fsync + rename. Readers validate every section
-// length against the bytes actually on disk before any allocation and verify
-// each section's CRC, so corruption surfaces as Status::DataLoss/IoError —
-// never a crash, an OOM or a silently wrong index.
+// MbiIndex persistence: incremental crash-safe checkpoints
+// (Checkpoint/Recover), the only way an index reaches disk and comes back.
 //
 // Checkpoint directory:
 //
@@ -20,11 +8,18 @@
 //   <dir>/wal-<covered>.log      CRC-framed records for the committed tail
 //   <dir>/MANIFEST               framed; atomic rename commits everything
 //
+// Every framed file goes through persist::WriteFramedFile (tmp + fsync +
+// rename, CRC32C over the payload), and the tail log frames each record with
+// its own CRC. Readers validate every length against the bytes on disk
+// before any allocation, so corruption surfaces as Status::DataLoss/IoError
+// — never a crash, an OOM or a silently wrong index.
+//
 // Segments are written once and reused by later checkpoints (leaf data and
 // blocks are immutable); only the tail log and the manifest change. Recover
 // loads the manifest's segments, then re-runs the merge cascade over the
 // tail records — deterministic seeded builds reproduce the pre-crash index.
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -41,19 +36,15 @@ namespace mbi {
 
 namespace {
 
-constexpr char kMagicV2[] = "MBIX0002";
-constexpr char kManifestMagic[] = "MBIMAN01";
+constexpr char kManifestMagic[] = "MBIMAN02";
 constexpr char kVecSegMagic[] = "MBISEG01";
 constexpr char kBlkSegMagic[] = "MBIBLK01";
-constexpr uint32_t kNumSections = 3;
 
 // Upper bound on a plausible dimensionality; rejects corrupt headers whose
 // dim field would make the store's first chunk allocation explode.
 constexpr uint64_t kMaxDim = 1u << 24;
 
 struct PersistMetrics {
-  obs::Counter* saves;
-  obs::Counter* loads;
   obs::Counter* checkpoints;
   obs::Counter* checkpoint_bytes;
   obs::Counter* segments_written;
@@ -68,10 +59,6 @@ struct PersistMetrics {
     static const PersistMetrics m = [] {
       auto& reg = obs::MetricRegistry::Default();
       return PersistMetrics{
-          reg.GetCounter("mbi_persist_saves_total",
-                         "single-file index snapshots written"),
-          reg.GetCounter("mbi_persist_loads_total",
-                         "single-file index snapshots loaded"),
           reg.GetCounter("mbi_persist_checkpoints_total",
                          "incremental checkpoints committed"),
           reg.GetCounter("mbi_persist_checkpoint_bytes_total",
@@ -87,7 +74,7 @@ struct PersistMetrics {
           reg.GetCounter("mbi_persist_recovers_total",
                          "successful checkpoint recoveries"),
           reg.GetCounter("mbi_persist_corruption_errors_total",
-                         "loads/recoveries rejected due to detected "
+                         "recoveries rejected due to detected "
                          "corruption or IO failure"),
           reg.GetHistogram("mbi_persist_checkpoint_seconds",
                            obs::Histogram::ExponentialBounds(1e-4, 4.0, 14),
@@ -101,8 +88,12 @@ struct PersistMetrics {
   }
 };
 
-// Dim/metric/params header shared by the v2 params section and the
-// checkpoint manifest.
+// Upper bound on a plausible worker count; rejects corrupt headers that
+// would make the recovered index spawn an absurd thread pool.
+constexpr uint64_t kMaxThreads = 1024;
+
+// Dim, metric and every MbiParams field, at the head of the manifest. A new
+// MbiParams field is written and read here too, or Recover resets it.
 struct IndexHeader {
   uint64_t dim = 0;
   uint32_t metric_raw = 0;
@@ -121,13 +112,18 @@ Status WriteHeaderTo(BinaryWriter* w, uint64_t dim, Metric metric,
   MBI_RETURN_IF_ERROR(w->Write<double>(p.build.rho));
   MBI_RETURN_IF_ERROR(w->Write<double>(p.build.delta));
   MBI_RETURN_IF_ERROR(w->Write<uint64_t>(p.build.max_iterations));
-  return w->Write<uint64_t>(p.build.seed);
+  MBI_RETURN_IF_ERROR(w->Write<uint64_t>(p.build.seed));
+  MBI_RETURN_IF_ERROR(w->Write<uint64_t>(p.num_threads));
+  MBI_RETURN_IF_ERROR(w->Write<uint32_t>(p.adaptive_block_search ? 1 : 0));
+  MBI_RETURN_IF_ERROR(w->Write<uint64_t>(p.max_inflight_queries));
+  MBI_RETURN_IF_ERROR(w->Write<double>(p.shed_retry_after_seconds));
+  return w->Write<uint64_t>(p.max_blocks_per_add);
 }
 
 // Fully validates before returning OK: the MbiIndex constructor aborts on
 // invalid params (programmer error), so corrupt files must be rejected here.
 Status ReadHeaderFrom(BinaryReader* r, IndexHeader* h) {
-  uint32_t kind_raw = 0;
+  uint32_t kind_raw = 0, adaptive_raw = 0;
   MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&h->dim));
   MBI_RETURN_IF_ERROR(r->Read<uint32_t>(&h->metric_raw));
   MBI_RETURN_IF_ERROR(r->Read<int64_t>(&h->params.leaf_size));
@@ -139,10 +135,18 @@ Status ReadHeaderFrom(BinaryReader* r, IndexHeader* h) {
   MBI_RETURN_IF_ERROR(r->Read<double>(&h->params.build.delta));
   MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&h->params.build.max_iterations));
   MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&h->params.build.seed));
-  if (h->dim == 0 || h->dim > kMaxDim || h->metric_raw > 2 || kind_raw > 2) {
+  MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&h->params.num_threads));
+  MBI_RETURN_IF_ERROR(r->Read<uint32_t>(&adaptive_raw));
+  MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&h->params.max_inflight_queries));
+  MBI_RETURN_IF_ERROR(r->Read<double>(&h->params.shed_retry_after_seconds));
+  MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&h->params.max_blocks_per_add));
+  if (h->dim == 0 || h->dim > kMaxDim || h->metric_raw > 2 || kind_raw > 2 ||
+      h->params.num_threads > kMaxThreads || adaptive_raw > 1 ||
+      !std::isfinite(h->params.shed_retry_after_seconds)) {
     return Status::IoError("corrupt MBI index header");
   }
   h->params.block_kind = static_cast<BlockIndexKind>(kind_raw);
+  h->params.adaptive_block_search = adaptive_raw == 1;
   return h->params.Validate();
 }
 
@@ -187,49 +191,6 @@ Status ReadVectorsInto(BinaryReader* r, uint64_t n, uint64_t dim,
         r->ReadBytes(timestamps.data(), static_cast<size_t>(ts_bytes)));
   }
   return store->AppendBatch(data.data(), timestamps.data(), n);
-}
-
-// Writes the block list of a snapshot: count, then {kind, payload} each.
-Status WriteBlockList(
-    BinaryWriter* w,
-    const std::vector<std::shared_ptr<const BlockKnnIndex>>& blocks) {
-  MBI_RETURN_IF_ERROR(w->Write<uint64_t>(blocks.size()));
-  for (const auto& block : blocks) {
-    MBI_RETURN_IF_ERROR(
-        w->Write<uint32_t>(static_cast<uint32_t>(block->kind())));
-    MBI_RETURN_IF_ERROR(block->Save(w));
-  }
-  return Status::Ok();
-}
-
-// Reads a block list that must cover [0, covered_end) exactly: the count
-// must equal the tree arithmetic's block count and every block's id range
-// must match its postorder node — a block over the wrong slice could
-// silently return wrong neighbors.
-Status ReadBlockList(
-    BinaryReader* r, int64_t covered_end, int64_t leaf_size,
-    std::vector<std::shared_ptr<const BlockKnnIndex>>* blocks) {
-  uint64_t num_blocks = 0;
-  MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&num_blocks));
-  const BlockTreeShape shape(covered_end, leaf_size);
-  if (static_cast<int64_t>(num_blocks) != shape.NumFullBlocks()) {
-    return Status::IoError("corrupt MBI index: block count mismatch");
-  }
-  const std::vector<TreeNode> nodes = shape.AllFullNodes();
-  blocks->clear();
-  blocks->reserve(nodes.size());
-  for (size_t j = 0; j < nodes.size(); ++j) {
-    uint32_t kind = 0;
-    MBI_RETURN_IF_ERROR(r->Read<uint32_t>(&kind));
-    if (kind > 2) return Status::IoError("corrupt block kind");
-    auto block = MakeEmptyBlockIndex(static_cast<BlockIndexKind>(kind));
-    MBI_RETURN_IF_ERROR(block->Load(r));
-    if (!(block->range() == shape.NodeRange(nodes[j]))) {
-      return Status::IoError("corrupt MBI index: block covers wrong range");
-    }
-    blocks->push_back(std::move(block));
-  }
-  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------
@@ -342,189 +303,11 @@ bool IsCorruptionCode(const Status& s) {
 // Friend of MbiIndex: the load/recover paths that populate private state.
 class MbiIo {
  public:
-  static Result<std::unique_ptr<MbiIndex>> Load(const std::string& path,
-                                                persist::FileSystem* fs);
   static Status Checkpoint(const MbiIndex& index, const std::string& dir,
                            persist::FileSystem* fs);
   static Result<std::unique_ptr<MbiIndex>> Recover(const std::string& dir,
                                                    persist::FileSystem* fs);
-
- private:
-  static Result<std::unique_ptr<MbiIndex>> LoadV2(BinaryReader* r,
-                                                  const std::string& path);
 };
-
-// ---------------------------------------------------------------------------
-// Save (MBIX0002)
-
-Status MbiIndex::Save(const std::string& path,
-                      persist::FileSystem* fs) const {
-  if (fs == nullptr) fs = persist::FileSystem::Posix();
-  // A pinned view makes Save safe during live ingest: it serializes the
-  // committed prefix plus the published blocks that cover part of it.
-  const ReadView view = AcquireReadView();
-  const MbiSnapshot& snap = *view.snapshot;
-  const uint64_t n = view.num_vectors;
-
-  const Status s = persist::AtomicallyWriteFile(
-      fs, path, [&](BinaryWriter* w) -> Status {
-        MBI_RETURN_IF_ERROR(w->WriteBytes(kMagicV2, 8));
-        MBI_RETURN_IF_ERROR(w->Write<uint32_t>(kNumSections));
-        const uint64_t table_offset = w->offset();
-        const char placeholder[12] = {0};
-        for (uint32_t i = 0; i < kNumSections; ++i) {
-          MBI_RETURN_IF_ERROR(
-              w->WriteBytes(placeholder, sizeof(placeholder)));
-        }
-
-        uint64_t lens[kNumSections];
-        uint32_t crcs[kNumSections];
-        uint64_t start = 0;
-
-        // Section 0: params.
-        start = w->offset();
-        w->CrcReset();
-        MBI_RETURN_IF_ERROR(
-            WriteHeaderTo(w, store_.dim(), store_.metric(), params_));
-        lens[0] = w->offset() - start;
-        crcs[0] = w->crc();
-
-        // Section 1: store (committed prefix of the pinned view).
-        start = w->offset();
-        w->CrcReset();
-        MBI_RETURN_IF_ERROR(w->Write<uint64_t>(n));
-        MBI_RETURN_IF_ERROR(
-            WriteStoreRange(w, store_, 0, static_cast<int64_t>(n)));
-        lens[1] = w->offset() - start;
-        crcs[1] = w->crc();
-
-        // Section 2: the snapshot's covered bound and its blocks. Load
-        // rebuilds any blocks past covered_end deterministically.
-        start = w->offset();
-        w->CrcReset();
-        MBI_RETURN_IF_ERROR(w->Write<int64_t>(snap.covered_end));
-        MBI_RETURN_IF_ERROR(WriteBlockList(w, snap.blocks));
-        lens[2] = w->offset() - start;
-        crcs[2] = w->crc();
-
-        char table[kNumSections * 12];
-        for (uint32_t i = 0; i < kNumSections; ++i) {
-          std::memcpy(table + i * 12, &lens[i], 8);
-          std::memcpy(table + i * 12 + 8, &crcs[i], 4);
-        }
-        return w->PatchAt(table_offset, table, sizeof(table));
-      });
-  if (s.ok()) PersistMetrics::Get().saves->Increment();
-  return s;
-}
-
-// ---------------------------------------------------------------------------
-// Load (MBIX0002)
-
-Result<std::unique_ptr<MbiIndex>> MbiIo::LoadV2(BinaryReader* r,
-                                                const std::string& path) {
-  uint32_t num_sections = 0;
-  MBI_RETURN_IF_ERROR(r->Read<uint32_t>(&num_sections));
-  if (num_sections != kNumSections) {
-    return Status::DataLoss("corrupt MBI index: bad section count in " +
-                            path);
-  }
-  uint64_t lens[kNumSections];
-  uint32_t crcs[kNumSections];
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&lens[i]));
-    MBI_RETURN_IF_ERROR(r->Read<uint32_t>(&crcs[i]));
-  }
-  uint64_t total = 0;
-  for (uint32_t i = 0; i < kNumSections; ++i) {
-    if (lens[i] > r->Remaining() - total) {
-      return Status::DataLoss("corrupt MBI index: section " +
-                              std::to_string(i) + " length exceeds file " +
-                              path);
-    }
-    total += lens[i];
-  }
-  if (total != r->Remaining()) {
-    return Status::DataLoss(
-        "corrupt MBI index: section table does not match file size of " +
-        path);
-  }
-
-  // Validates one section's byte span and checksum after parsing it.
-  uint64_t section_start = 0;
-  const auto begin_section = [&] {
-    section_start = r->offset();
-    r->CrcReset();
-  };
-  const auto end_section = [&](uint32_t i) -> Status {
-    if (r->offset() - section_start != lens[i]) {
-      return Status::DataLoss("corrupt MBI index: section " +
-                              std::to_string(i) + " length mismatch in " +
-                              path);
-    }
-    if (r->crc() != crcs[i]) {
-      return Status::DataLoss("corrupt MBI index: section " +
-                              std::to_string(i) + " checksum mismatch in " +
-                              path);
-    }
-    return Status::Ok();
-  };
-
-  begin_section();
-  IndexHeader h;
-  MBI_RETURN_IF_ERROR(ReadHeaderFrom(r, &h));
-  MBI_RETURN_IF_ERROR(end_section(0));
-  auto index = std::make_unique<MbiIndex>(
-      h.dim, static_cast<Metric>(h.metric_raw), h.params);
-
-  begin_section();
-  uint64_t n = 0;
-  MBI_RETURN_IF_ERROR(r->Read<uint64_t>(&n));
-  MBI_RETURN_IF_ERROR(ReadVectorsInto(r, n, h.dim, &index->store_));
-  MBI_RETURN_IF_ERROR(end_section(1));
-
-  begin_section();
-  int64_t covered_end = 0;
-  MBI_RETURN_IF_ERROR(r->Read<int64_t>(&covered_end));
-  if (covered_end < 0 || covered_end > static_cast<int64_t>(n) ||
-      covered_end % h.params.leaf_size != 0) {
-    return Status::DataLoss("corrupt MBI index: bad covered bound in " +
-                            path);
-  }
-  std::vector<std::shared_ptr<const BlockKnnIndex>> blocks;
-  MBI_RETURN_IF_ERROR(
-      ReadBlockList(r, covered_end, h.params.leaf_size, &blocks));
-  MBI_RETURN_IF_ERROR(end_section(2));
-
-  // The close status must be checked before publishing: a deferred read
-  // error means the bytes parsed above cannot be trusted.
-  MBI_RETURN_IF_ERROR(r->Close());
-  index->InstallBlocks(std::move(blocks), /*build_pending=*/true);
-  return Result<std::unique_ptr<MbiIndex>>(std::move(index));
-}
-
-Result<std::unique_ptr<MbiIndex>> MbiIo::Load(const std::string& path,
-                                              persist::FileSystem* fs) {
-  BinaryReader r;
-  MBI_RETURN_IF_ERROR(r.Open(path, fs));
-  char magic[8];
-  MBI_RETURN_IF_ERROR(r.ReadBytes(magic, sizeof(magic)));
-  if (std::memcmp(magic, kMagicV2, 8) == 0) return LoadV2(&r, path);
-  return Status::DataLoss("not an MBI index file: " + path);
-}
-
-Result<std::unique_ptr<MbiIndex>> MbiIndex::Load(const std::string& path,
-                                                 persist::FileSystem* fs) {
-  if (fs == nullptr) fs = persist::FileSystem::Posix();
-  auto result = MbiIo::Load(path, fs);
-  const PersistMetrics& m = PersistMetrics::Get();
-  if (result.ok()) {
-    m.loads->Increment();
-  } else if (IsCorruptionCode(result.status())) {
-    m.corruption_errors->Increment();
-  }
-  return result;
-}
 
 // ---------------------------------------------------------------------------
 // Checkpoint
@@ -725,7 +508,7 @@ Result<std::unique_ptr<MbiIndex>> MbiIo::Recover(const std::string& dir,
           return Status::Ok();
         }));
   }
-  index->InstallBlocks(std::move(blocks), /*build_pending=*/false);
+  index->InstallBlocks(std::move(blocks));
 
   // Tail log: replay the valid clean prefix through the normal insert path,
   // re-running the merge cascades. Seeded builds make the rebuilt blocks

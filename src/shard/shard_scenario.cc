@@ -334,6 +334,18 @@ class ShardDriver {
     return false;
   }
 
+  // Checkpoints the crash target into `dir` with no faults injected and
+  // returns the rows it acknowledged: what the crash/requery leg recovers.
+  Result<size_t> CleanCheckpoint(const std::string& dir) {
+    MBI_RETURN_IF_ERROR(sharded_->CheckpointShard(spec_.fault_shard, dir));
+    Result<std::shared_ptr<const MbiIndex>> pinned =
+        sharded_->shard(spec_.fault_shard);
+    const size_t acked = pinned.ok() ? pinned.value()->size() : 0;
+    ++outcome_.stats.checkpoints_committed;
+    outcome_.log.Append(EventKind::kCheckpointCommit, 0, acked);
+    return acked;
+  }
+
   // I1 after a recovery: every row the clean checkpoint acknowledged must
   // be back, bit-identical to what was ingested.
   void CheckRecoveredShard(size_t i, size_t acked_rows) {
@@ -418,14 +430,9 @@ class ShardDriver {
                          fixture_.work_dir() + "/faulty_" +
                              std::to_string(shard_i));
         if (shard_i == spec_.fault_shard) {
-          MBI_RETURN_IF_ERROR(
-              sharded_->CheckpointShard(spec_.fault_shard, clean_dir));
-          Result<std::shared_ptr<const MbiIndex>> pinned =
-              sharded_->shard(spec_.fault_shard);
-          acked_fault_shard = pinned.ok() ? pinned.value()->size() : 0;
-          ++outcome_.stats.checkpoints_committed;
-          outcome_.log.Append(EventKind::kCheckpointCommit, 0,
-                              acked_fault_shard);
+          Result<size_t> acked = CleanCheckpoint(clean_dir);
+          MBI_RETURN_IF_ERROR(acked.status());
+          acked_fault_shard = acked.value();
         }
       }
 
@@ -555,11 +562,22 @@ class ShardDriver {
   // Concurrent mode: ingest everything, then a query storm from N threads
   // against the pool-backed fan-out with real injected delays and sheds,
   // racing a driver-thread checkpoint/quarantine/recover cycle on the
-  // target shard; a fault-free epilogue re-establishes oracle matches.
+  // target shard; a fault-free epilogue re-establishes oracle matches. A
+  // crash_requery spec checkpoints the target shard at its mid-fill during
+  // ingest and runs the crash/requery flight plan after the epilogue.
   Status RunConcurrent() {
+    const size_t span = static_cast<size_t>(spec_.sharded.shard_span);
+    const size_t clean_row = spec_.fault_shard * span + span / 2;
+    const std::string clean_dir = fixture_.work_dir() + "/clean";
+    size_t acked_fault_shard = 0;
     outcome_.log.Append(EventKind::kPhaseStart, 0);
     for (size_t row = 0; row < spec_.adds; ++row) {
       MBI_RETURN_IF_ERROR(IngestRow(row));
+      if (spec_.crash_requery && row == clean_row) {
+        Result<size_t> acked = CleanCheckpoint(clean_dir);
+        MBI_RETURN_IF_ERROR(acked.status());
+        acked_fault_shard = acked.value();
+      }
     }
     outcome_.log.Append(EventKind::kPhaseEnd, 0);
 
@@ -621,6 +639,9 @@ class ShardDriver {
       DeterministicQuery(2, /*expect_full_coverage=*/true);
     }
     outcome_.log.Append(EventKind::kPhaseEnd, 2);
+    if (spec_.crash_requery) {
+      MBI_RETURN_IF_ERROR(RunCrashRequery(acked_fault_shard, clean_dir));
+    }
     return Status::Ok();
   }
 

@@ -105,7 +105,8 @@ struct ShardScenarioSpec {
   /// mid-fill through a per-shard fault-injecting file system whose
   /// schedule derives from DeriveSeed(seed, "shard/<i>"); fault_shard also
   /// gets a clean checkpoint, crashes after ingest, recovers the
-  /// checkpointed prefix, and is backfilled row by row.
+  /// checkpointed prefix, and is backfilled row by row. Concurrent mode
+  /// takes only the clean checkpoint and runs the crash leg after the storm.
   bool crash_requery = false;
 
   /// Queries issued by each epilogue leg (and per storm thread in

@@ -1,26 +1,30 @@
 // Fuzz harness for the two untrusted-bytes parsers in the persistence
-// layer: the MBIX0002 snapshot loader (MbiIndex::Load) and the CRC-framed
-// WAL tail replay (persist::ReadLogRecords).
+// layer: checkpoint recovery (MbiIndex::Recover) and the CRC-framed WAL tail
+// replay (persist::ReadLogRecords).
 //
-// Input format: byte 0 selects the target (even = snapshot, odd = WAL);
-// the remaining bytes are the file image handed to the parser. Both
-// parsers promise that arbitrary corruption yields a clean non-OK Status —
-// never a crash, sanitizer fault, unbounded allocation or wrong-but-OK
-// result — so the harness's only assertions are those invariants.
+// Input format: byte 0 selects the target. Even = checkpoint: the remaining
+// bytes replace one file of a real checkpoint directory built at startup —
+// MANIFEST, segments/vec-0.seg or segments/blk-0.seg for byte 0 / 2 % 3 =
+// 0, 1, 2 — and Recover runs on the directory. Odd = WAL: the remaining
+// bytes are the log image handed to ReadLogRecords. Both parsers promise
+// that arbitrary corruption yields a clean non-OK Status — never a crash,
+// sanitizer fault, unbounded allocation or wrong-but-OK result — so the
+// harness's only assertions are those invariants.
 //
 // Build modes:
 //   * with Clang and -fsanitize=fuzzer (MBI_FUZZER_DRIVER defined), libFuzzer
 //     provides main() and drives LLVMFuzzerTestOneInput;
 //   * otherwise a standalone main() runs the deterministic smoke: it
-//     generates the seed corpus from real Save/LogWriter output and replays
-//     each seed plus a few hundred single-byte/truncation mutations derived
-//     from a fixed mbi::Rng stream. This is what CI's fuzz_smoke ctest runs
-//     under MBI_SANITIZE, and it doubles as `--make-corpus <dir>` for
-//     exporting seeds to a real fuzzing run.
+//     generates the seed corpus from real Checkpoint/LogWriter output and
+//     replays each seed plus a few hundred single-byte/truncation mutations
+//     derived from a fixed mbi::Rng stream. This is what CI's fuzz_smoke
+//     ctest runs under MBI_SANITIZE, and it doubles as
+//     `--make-corpus <dir>` for exporting seeds to a real fuzzing run.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,33 +74,72 @@ class MemReadableFile : public persist::ReadableFile {
   size_t pos_ = 0;
 };
 
-// One scratch path per process: Load() wants a file, so snapshot-mode
-// inputs are staged through the filesystem.
-const std::string& ScratchPath() {
-  static const std::string* path = [] {
-    const char* tmp = ::getenv("TMPDIR");
-    return new std::string(std::string(tmp != nullptr ? tmp : "/tmp") +
-                           "/mbi_fuzz_snapshot." +
-                           std::to_string(::getpid()));
-  }();
-  return *path;
+// Per-process scratch paths under $TMPDIR (default /tmp).
+std::string ScratchPath(const std::string& name) {
+  const char* tmp = ::getenv("TMPDIR");
+  return std::string(tmp != nullptr ? tmp : "/tmp") + "/mbi_fuzz_" + name +
+         "." + std::to_string(::getpid());
 }
 
-void FuzzSnapshotLoad(const uint8_t* data, size_t size) {
-  persist::FileSystem* fs = persist::FileSystem::Posix();
-  {
-    auto file_result = fs->NewWritableFile(ScratchPath());
-    MBI_CHECK_OK(file_result.status());
-    std::unique_ptr<persist::WritableFile> file =
-        std::move(file_result).value();
-    MBI_CHECK_OK(file->Append(data, size));
-    MBI_CHECK_OK(file->Close());
+// The checkpoint files a checkpoint-mode input can stand in for.
+const char* const kCheckpointFiles[] = {"MANIFEST", "segments/vec-0.seg",
+                                        "segments/blk-0.seg"};
+
+// A real checkpoint of a small deterministic index (seven full leaves plus
+// an eight-row tail log), written once per process. Returns its directory.
+const std::string& CheckpointDir() {
+  static const std::string* dir = [] {
+    auto* path = new std::string(ScratchPath("checkpoint"));
+    std::filesystem::remove_all(*path);
+    SyntheticParams gen;
+    gen.dim = 8;
+    gen.seed = 13;
+    SyntheticData data = GenerateSynthetic(gen, 120);
+    MbiParams p;
+    p.leaf_size = 16;
+    p.tau = 0.4;
+    p.build.degree = 8;
+    MbiIndex index(8, Metric::kL2, p);
+    MBI_CHECK_OK(
+        index.AddBatch(data.vectors.data(), data.timestamps.data(), 120));
+    MBI_CHECK_OK(index.Checkpoint(*path));
+    return path;
+  }();
+  return *dir;
+}
+
+std::vector<uint8_t> ReadAll(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  MBI_CHECK(f != nullptr);
+  std::vector<uint8_t> bytes;
+  uint8_t buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
   }
-  auto loaded = MbiIndex::Load(ScratchPath());
+  std::fclose(f);
+  return bytes;
+}
+
+void WriteAll(const std::string& path, const uint8_t* data, size_t size) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  MBI_CHECK(f != nullptr);
+  MBI_CHECK(std::fwrite(data, 1, size, f) == size);
+  std::fclose(f);
+}
+
+void FuzzCheckpointRecover(uint8_t selector, const uint8_t* data,
+                           size_t size) {
+  const std::string target =
+      CheckpointDir() + "/" + kCheckpointFiles[selector / 2 % 3];
+  const std::vector<uint8_t> original = ReadAll(target);
+  WriteAll(target, data, size);
+  auto loaded = MbiIndex::Recover(CheckpointDir());
+  WriteAll(target, original.data(), original.size());
   if (loaded.ok()) {
-    // A load that claims success must hand back a usable index: the
+    // A recovery that claims success must hand back a usable index: the
     // accessors below would trip sanitizers on dangling or half-built
-    // state, and a loaded index must answer a query without faulting.
+    // state, and a recovered index must answer a query without faulting.
     const MbiIndex& index = *loaded.value();
     MbiStats stats = index.GetStats();
     MBI_CHECK(stats.num_vectors == index.size());
@@ -135,7 +178,7 @@ void FuzzWalReplay(const uint8_t* data, size_t size) {
 void RunOne(const uint8_t* data, size_t size) {
   if (size == 0) return;
   if (data[0] % 2 == 0) {
-    FuzzSnapshotLoad(data + 1, size - 1);
+    FuzzCheckpointRecover(data[0], data + 1, size - 1);
   } else {
     FuzzWalReplay(data + 1, size - 1);
   }
@@ -154,56 +197,26 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 namespace mbi {
 namespace {
 
-std::vector<uint8_t> ReadAll(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  MBI_CHECK(f != nullptr);
-  std::vector<uint8_t> bytes;
-  uint8_t buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return bytes;
-}
-
-void WriteAll(const std::string& path, const std::vector<uint8_t>& bytes) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  MBI_CHECK(f != nullptr);
-  MBI_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size());
-  std::fclose(f);
-}
-
 // Builds the seed corpus from real writer output so the fuzzer starts at
 // valid inputs instead of spending its budget rediscovering the framing.
 std::vector<std::vector<uint8_t>> MakeSeeds() {
   std::vector<std::vector<uint8_t>> seeds;
 
-  // Seed 1: a genuine MBIX0002 snapshot of a small deterministic index.
-  {
-    SyntheticParams gen;
-    gen.dim = 8;
-    gen.seed = 13;
-    SyntheticData data = GenerateSynthetic(gen, 120);
-    MbiParams p;
-    p.leaf_size = 16;
-    p.tau = 0.4;
-    p.build.degree = 8;
-    MbiIndex index(8, Metric::kL2, p);
-    MBI_CHECK_OK(
-        index.AddBatch(data.vectors.data(), data.timestamps.data(), 120));
-    MBI_CHECK_OK(index.Save(ScratchPath()));
-    std::vector<uint8_t> snapshot = ReadAll(ScratchPath());
-    std::vector<uint8_t> seed{0x00};
-    seed.insert(seed.end(), snapshot.begin(), snapshot.end());
+  // Seeds 1-3: each replaceable file of the genuine checkpoint, as is.
+  for (uint8_t i = 0; i < 3; ++i) {
+    std::vector<uint8_t> seed{static_cast<uint8_t>(2 * i)};
+    const std::vector<uint8_t> file =
+        ReadAll(CheckpointDir() + "/" + kCheckpointFiles[i]);
+    seed.insert(seed.end(), file.begin(), file.end());
     seeds.push_back(std::move(seed));
   }
 
-  // Seed 2: a genuine WAL with mixed-size records; seed 3: the same WAL
+  // Seed 4: a genuine WAL with mixed-size records; seed 5: the same WAL
   // torn mid-record, the shape crash recovery actually sees.
   {
+    const std::string wal_path = ScratchPath("wal");
     persist::FileSystem* fs = persist::FileSystem::Posix();
-    auto file_result = fs->NewWritableFile(ScratchPath());
+    auto file_result = fs->NewWritableFile(wal_path);
     MBI_CHECK_OK(file_result.status());
     persist::LogWriter writer(std::move(file_result).value());
     MBI_CHECK_OK(writer.AddRecord("alpha", 5));
@@ -211,7 +224,8 @@ std::vector<std::vector<uint8_t>> MakeSeeds() {
     MBI_CHECK_OK(writer.AddRecord(big.data(), big.size()));
     MBI_CHECK_OK(writer.AddRecord("", 0));
     MBI_CHECK_OK(writer.Close());
-    std::vector<uint8_t> wal = ReadAll(ScratchPath());
+    std::vector<uint8_t> wal = ReadAll(wal_path);
+    std::filesystem::remove(wal_path);
     std::vector<uint8_t> seed{0x01};
     seed.insert(seed.end(), wal.begin(), wal.end());
     seeds.push_back(seed);
@@ -219,7 +233,7 @@ std::vector<std::vector<uint8_t>> MakeSeeds() {
     seeds.push_back(std::move(seed));
   }
 
-  // Seeds 4/5: near-empty inputs for both modes.
+  // Seeds 6/7: near-empty inputs for both modes.
   seeds.push_back({0x00});
   seeds.push_back({0x01, 0xFF, 0xFF});
   return seeds;
@@ -228,7 +242,8 @@ std::vector<std::vector<uint8_t>> MakeSeeds() {
 int MakeCorpus(const std::string& dir) {
   const std::vector<std::vector<uint8_t>> seeds = MakeSeeds();
   for (size_t i = 0; i < seeds.size(); ++i) {
-    WriteAll(dir + "/seed_" + std::to_string(i), seeds[i]);
+    WriteAll(dir + "/seed_" + std::to_string(i), seeds[i].data(),
+             seeds[i].size());
   }
   std::printf("fuzz_snapshot_load: wrote %zu seeds to %s\n", seeds.size(),
               dir.c_str());
@@ -259,6 +274,7 @@ int Smoke(size_t rounds) {
       ++executed;
     }
   }
+  std::filesystem::remove_all(CheckpointDir());
   std::printf("fuzz_snapshot_load: smoke OK (%zu inputs)\n", executed);
   return 0;
 }

@@ -2,6 +2,7 @@
 // filtering, serialization, and use as an MBI block index.
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -181,7 +182,7 @@ TEST_F(HnswFixture, WorksAsMbiBlockKind) {
   EXPECT_GE(total / count, 0.85);
 }
 
-TEST_F(HnswFixture, HnswMbiSaveLoadRoundTrip) {
+TEST_F(HnswFixture, HnswMbiCheckpointRecoverRoundTrip) {
   MbiParams p;
   p.leaf_size = 500;
   p.block_kind = BlockIndexKind::kHnsw;
@@ -190,9 +191,10 @@ TEST_F(HnswFixture, HnswMbiSaveLoadRoundTrip) {
   ASSERT_TRUE(
       index.AddBatch(data_.vectors.data(), data_.timestamps.data(), kN).ok());
 
-  std::string path = ::testing::TempDir() + "/hnsw_mbi.idx";
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded_result = MbiIndex::Load(path);
+  const std::string dir = ::testing::TempDir() + "/hnsw_mbi_ckpt";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(index.Checkpoint(dir).ok());
+  auto loaded_result = MbiIndex::Recover(dir);
   ASSERT_TRUE(loaded_result.ok()) << loaded_result.status().ToString();
   auto loaded = std::move(loaded_result).value();
   EXPECT_EQ(loaded->num_blocks(), index.num_blocks());
@@ -205,7 +207,7 @@ TEST_F(HnswFixture, HnswMbiSaveLoadRoundTrip) {
   TimeWindow w{100, 1800};
   EXPECT_EQ(index.Search(queries_.data(), w, sp, &ctx_a),
             loaded->Search(queries_.data(), w, sp, &ctx_b));
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

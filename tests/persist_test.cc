@@ -1,6 +1,6 @@
 // Persistence torture tests: CRC32C, the file abstraction, fault injection,
 // framed/atomic files, the tail log, and the crash-consistency property of
-// MbiIndex::Save/Load/Checkpoint/Recover — truncation at every byte offset
+// MbiIndex::Checkpoint/Recover — truncation at every byte offset
 // and every injected fault must yield either a bit-exact searchable index or
 // a clean non-OK Status. Never a crash, an OOM or a silently wrong answer.
 //
@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "index/graph_block_index.h"
 #include "mbi/mbi_index.h"
 #include "persist/checkpoint.h"
 #include "persist/crc32c.h"
@@ -472,172 +473,124 @@ TEST(FaultScheduleTest, NoCrashPlansWhenDisallowed) {
 }
 
 // ---------------------------------------------------------------------------
-// Save / Load
+// Checkpoint / Recover
 
-TEST(PersistSaveLoadTest, RoundTripAllKindsAndMetrics) {
+// Recovered store bits and block graphs equal the original's.
+void ExpectSameStoreAndGraphs(const MbiIndex& a, const MbiIndex& b) {
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_EQ(a.store().dim(), b.store().dim());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.store().GetTimestamp(i), b.store().GetTimestamp(i));
+    EXPECT_EQ(std::memcmp(a.store().GetVector(i), b.store().GetVector(i),
+                          a.store().dim() * sizeof(float)),
+              0)
+        << "row " << i;
+  }
+  ASSERT_EQ(a.num_blocks(), b.num_blocks());
+  for (size_t j = 0; j < a.num_blocks(); ++j) {
+    EXPECT_EQ(a.block(j).range(), b.block(j).range());
+    if (a.params().block_kind == BlockIndexKind::kGraph) {
+      EXPECT_TRUE(static_cast<const GraphBlockIndex&>(a.block(j)).graph() ==
+                  static_cast<const GraphBlockIndex&>(b.block(j)).graph())
+          << "block " << j;
+    }
+  }
+}
+
+TEST(PersistCheckpointTest, RoundTripWithCommittedTail) {
+  const std::string dir = TempPath("persist_ckpt_rt");
   for (BlockIndexKind kind : {BlockIndexKind::kGraph, BlockIndexKind::kFlat,
                               BlockIndexKind::kHnsw}) {
     for (Metric metric :
          {Metric::kL2, Metric::kAngular, Metric::kInnerProduct}) {
-      auto index = BuildIndex(60, kind, metric);
-      const std::string path = TempPath("persist_rt.idx");
-      ASSERT_TRUE(index->Save(path).ok());
-      auto loaded = MbiIndex::Load(path);
-      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-      EXPECT_EQ(loaded.value()->params().block_kind, kind);
-      EXPECT_EQ(loaded.value()->store().metric(), metric);
-      EXPECT_TRUE(SameAnswers(*index, *loaded.value()))
-          << "kind " << static_cast<int>(kind) << " metric "
-          << static_cast<int>(metric);
-      std::remove(path.c_str());
+      SCOPED_TRACE(::testing::Message() << "kind " << static_cast<int>(kind)
+                                        << " metric "
+                                        << static_cast<int>(metric));
+      auto index = BuildIndex(52, kind, metric);  // covered 48, tail 4
+      stdfs::remove_all(dir);
+      ASSERT_TRUE(index->Checkpoint(dir).ok());
+      auto recovered = MbiIndex::Recover(dir);
+      ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+      const MbiIndex& r = *recovered.value();
+      EXPECT_EQ(r.params().block_kind, kind);
+      EXPECT_EQ(r.store().metric(), metric);
+      ExpectSameStoreAndGraphs(*index, r);
+      EXPECT_TRUE(SameAnswers(*index, r));
+
+      // A window inside the partial leaf is answered by one exact scan of
+      // the replayed tail.
+      QueryContext ctx;
+      SearchParams sp;
+      sp.k = 3;
+      MbiQueryStats stats;
+      r.Search(r.store().GetVector(49), TimeWindow{48, 52}, sp, &ctx,
+               {.stats = &stats});
+      EXPECT_EQ(stats.exact_blocks, 1u);
+      EXPECT_EQ(stats.graph_blocks, 0u);
     }
   }
-}
 
-TEST(PersistSaveLoadTest, BitFlipSweepNeverReturnsWrongAnswers) {
-  auto index = BuildIndex(48);
-  const std::string path = TempPath("persist_flip.idx");
-  ASSERT_TRUE(index->Save(path).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  for (size_t i = 0; i < bytes.size(); i += SweepStride(1)) {
-    std::string mutated = bytes;
-    mutated[i] ^= 0xFF;
-    WriteFileBytes(path, mutated);
-    auto loaded = MbiIndex::Load(path);
-    if (loaded.ok()) {
-      // A benign byte would have to survive the section CRCs — it cannot,
-      // but the contract is: if Load accepts, answers must be identical.
-      EXPECT_TRUE(SameAnswers(*index, *loaded.value())) << "flipped " << i;
-    } else {
-      const StatusCode code = loaded.status().code();
-      EXPECT_TRUE(code == StatusCode::kDataLoss ||
-                  code == StatusCode::kIoError ||
-                  code == StatusCode::kInvalidArgument ||
-                  code == StatusCode::kFailedPrecondition)
-          << "flipped " << i << ": " << loaded.status().ToString();
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(PersistSaveLoadTest, TruncationSweepFailsCleanlyAtEveryOffset) {
-  auto index = BuildIndex(48);
-  const std::string path = TempPath("persist_trunc.idx");
-  ASSERT_TRUE(index->Save(path).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  for (size_t cut = 0; cut < bytes.size(); cut += SweepStride(1)) {
-    WriteFileBytes(path, bytes.substr(0, cut));
-    auto loaded = MbiIndex::Load(path);
-    EXPECT_FALSE(loaded.ok()) << "truncated at " << cut;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(PersistSaveLoadTest, CrashDuringSaveLeavesOldOrNewState) {
-  auto old_index = BuildIndex(40);
-  auto new_index = BuildIndex(64);
-  const std::string path = TempPath("persist_crash_save.idx");
-  FaultInjectingFileSystem fs(FileSystem::Posix());
-
-  fs.SetPlan(FaultPlan{});
-  ASSERT_TRUE(new_index->Save(path, &fs).ok());
-  const uint64_t total_bytes = fs.bytes_written();
-
-  for (uint64_t t = 0; t <= total_bytes; t += SweepStride(41)) {
-    fs.SetPlan(FaultPlan{});
-    ASSERT_TRUE(old_index->Save(path, &fs).ok());
-    FaultPlan plan;
-    plan.write_fault = FaultPlan::WriteFault::kCrash;
-    plan.trigger_bytes = t;
-    fs.SetPlan(plan);
-    ASSERT_TRUE(new_index->Save(path, &fs).ok());  // the zombie reports OK
-
-    // "Reboot": load whatever is on disk with the real file system.
-    auto loaded = MbiIndex::Load(path);
-    ASSERT_TRUE(loaded.ok()) << "crash at byte " << t << ": "
-                             << loaded.status().ToString();
-    EXPECT_TRUE(SameAnswers(*old_index, *loaded.value()) ||
-                SameAnswers(*new_index, *loaded.value()))
-        << "crash at byte " << t;
-  }
-  std::remove(path.c_str());
-  std::remove((path + ".tmp").c_str());
-}
-
-TEST(PersistSaveLoadTest, WriteFaultsDuringSavePreserveOldFile) {
-  auto old_index = BuildIndex(40);
-  auto new_index = BuildIndex(64);
-  const std::string path = TempPath("persist_fault_save.idx");
-  FaultInjectingFileSystem fs(FileSystem::Posix());
-  ASSERT_TRUE(old_index->Save(path, &fs).ok());
-  fs.SetPlan(FaultPlan{});  // reset the byte counter before measuring
-  ASSERT_TRUE(new_index->Save(TempPath("persist_fault_save_probe.idx"), &fs)
-                  .ok());
-  const uint64_t total_bytes = fs.bytes_written();
-
-  for (auto fault : {FaultPlan::WriteFault::kShortWrite,
-                     FaultPlan::WriteFault::kEio,
-                     FaultPlan::WriteFault::kDiskFull}) {
-    for (uint64_t t = 0; t < total_bytes; t += SweepStride(97)) {
-      FaultPlan plan;
-      plan.write_fault = fault;
-      plan.trigger_bytes = t;
-      fs.SetPlan(plan);
-      EXPECT_FALSE(new_index->Save(path, &fs).ok());
-      fs.SetPlan(FaultPlan{});
-      EXPECT_FALSE(fs.FileExists(path + ".tmp"));
-      auto loaded = MbiIndex::Load(path);
-      ASSERT_TRUE(loaded.ok());
-      EXPECT_TRUE(SameAnswers(*old_index, *loaded.value()));
-    }
-  }
-  // One-shot flush/sync/close/rename failures behave the same way.
-  for (int which = 0; which < 4; ++which) {
-    FaultPlan plan;
-    if (which == 0) plan.fail_flush = true;
-    if (which == 1) plan.fail_sync = true;
-    if (which == 2) plan.fail_close = true;
-    if (which == 3) plan.fail_rename = true;
-    fs.SetPlan(plan);
-    EXPECT_FALSE(new_index->Save(path, &fs).ok()) << "fault " << which;
-    fs.SetPlan(FaultPlan{});
-    EXPECT_FALSE(fs.FileExists(path + ".tmp"));
-    auto loaded = MbiIndex::Load(path);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_TRUE(SameAnswers(*old_index, *loaded.value()));
-  }
-  std::remove(path.c_str());
-  std::remove(TempPath("persist_fault_save_probe.idx").c_str());
-}
-
-TEST(PersistSaveLoadTest, LoadChecksReadCloseBeforePublishing) {
-  auto index = BuildIndex(48);
-  const std::string path = TempPath("persist_read_close.idx");
-  ASSERT_TRUE(index->Save(path).ok());
-  FaultInjectingFileSystem fs(FileSystem::Posix());
-  FaultPlan plan;
-  plan.fail_read_close = true;
-  fs.SetPlan(plan);
-  auto loaded = MbiIndex::Load(path, &fs);
-  EXPECT_FALSE(loaded.ok());
-  std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint / Recover
-
-TEST(PersistCheckpointTest, RoundTripWithCommittedTail) {
-  auto index = BuildIndex(52);  // covered 48, tail 4
-  const std::string dir = TempPath("persist_ckpt_rt");
+  // An empty index round-trips too.
+  MbiParams p;
+  p.leaf_size = 8;
+  MbiIndex empty(kDim, Metric::kL2, p);
   stdfs::remove_all(dir);
-  ASSERT_TRUE(index->Checkpoint(dir).ok());
+  ASSERT_TRUE(empty.Checkpoint(dir).ok());
   auto recovered = MbiIndex::Recover(dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_EQ(recovered.value()->size(), 52u);
-  EXPECT_EQ(recovered.value()->num_blocks(), index->num_blocks());
-  EXPECT_TRUE(SameAnswers(*index, *recovered.value()));
+  EXPECT_EQ(recovered.value()->size(), 0u);
+  EXPECT_EQ(recovered.value()->num_blocks(), 0u);
+  stdfs::remove_all(dir);
+}
+
+// Every MbiParams field survives Checkpoint/Recover, serving knobs included:
+// a recovered shard keeps its admission limits and ingest cap.
+TEST(PersistCheckpointTest, RecoverRestoresEveryParam) {
+  MbiParams p;
+  p.leaf_size = 8;
+  p.tau = 0.375;
+  p.block_kind = BlockIndexKind::kFlat;
+  p.build.degree = 5;
+  p.build.exact_threshold = 17;
+  p.build.rho = 0.8;
+  p.build.delta = 0.01;
+  p.build.max_iterations = 3;
+  p.build.seed = 77;
+  p.num_threads = 2;
+  p.adaptive_block_search = true;
+  p.max_inflight_queries = 3;
+  p.shed_retry_after_seconds = 0.25;
+  p.max_blocks_per_add = 1;
+  MbiIndex index(kDim, Metric::kAngular, p);
+  SyntheticParams gen;
+  gen.dim = kDim;
+  gen.seed = 21;
+  gen.normalize = true;
+  SyntheticData data = GenerateSynthetic(gen, 20);
+  ASSERT_TRUE(
+      index.AddBatch(data.vectors.data(), data.timestamps.data(), 20).ok());
+
+  const std::string dir = TempPath("persist_ckpt_params");
+  stdfs::remove_all(dir);
+  ASSERT_TRUE(index.Checkpoint(dir).ok());
+  auto recovered = MbiIndex::Recover(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const MbiParams& q = recovered.value()->params();
+  EXPECT_EQ(q.leaf_size, p.leaf_size);
+  EXPECT_EQ(q.tau, p.tau);
+  EXPECT_EQ(q.block_kind, p.block_kind);
+  EXPECT_EQ(q.build.degree, p.build.degree);
+  EXPECT_EQ(q.build.exact_threshold, p.build.exact_threshold);
+  EXPECT_EQ(q.build.rho, p.build.rho);
+  EXPECT_EQ(q.build.delta, p.build.delta);
+  EXPECT_EQ(q.build.max_iterations, p.build.max_iterations);
+  EXPECT_EQ(q.build.seed, p.build.seed);
+  EXPECT_EQ(q.num_threads, p.num_threads);
+  EXPECT_EQ(q.adaptive_block_search, p.adaptive_block_search);
+  EXPECT_EQ(q.max_inflight_queries, p.max_inflight_queries);
+  EXPECT_EQ(q.shed_retry_after_seconds, p.shed_retry_after_seconds);
+  EXPECT_EQ(q.max_blocks_per_add, p.max_blocks_per_add);
+  EXPECT_EQ(recovered.value()->store().metric(), Metric::kAngular);
   stdfs::remove_all(dir);
 }
 
@@ -716,7 +669,10 @@ TEST(PersistCheckpointTest, RecoverThenContinueMatchesSerialIngest) {
   stdfs::remove_all(dir);
 }
 
-TEST(PersistCheckpointTest, CrashSweepDuringCheckpointRecoversOldOrNew) {
+// The first `n` rows of one fixed 60-row stream. The sweeps below
+// checkpoint a 36-row prefix (covered 32) and then the whole stream (covered
+// 56), so the second checkpoint reuses the first one's segments.
+std::unique_ptr<MbiIndex> BuildStreamPrefix(size_t n) {
   SyntheticParams gen;
   gen.dim = kDim;
   gen.seed = 21;
@@ -725,41 +681,100 @@ TEST(PersistCheckpointTest, CrashSweepDuringCheckpointRecoversOldOrNew) {
   p.leaf_size = 8;
   p.build.degree = 4;
   p.build.seed = 5;
+  auto index = std::make_unique<MbiIndex>(kDim, Metric::kL2, p);
+  MBI_CHECK_OK(index->AddBatch(data.vectors.data(), data.timestamps.data(), n));
+  return index;
+}
 
+bool HasTmpFiles(const std::string& dir) {
+  for (const auto& entry : stdfs::recursive_directory_iterator(dir)) {
+    if (entry.path().extension() == ".tmp") return true;
+  }
+  return false;
+}
+
+TEST(PersistCheckpointTest, CrashSweepDuringCheckpointRecoversOldOrNew) {
   // ref1: the state of the first checkpoint. ref2: of the second.
-  MbiIndex ref1(kDim, Metric::kL2, p);
-  ASSERT_TRUE(
-      ref1.AddBatch(data.vectors.data(), data.timestamps.data(), 36).ok());
-  MbiIndex ref2(kDim, Metric::kL2, p);
-  ASSERT_TRUE(
-      ref2.AddBatch(data.vectors.data(), data.timestamps.data(), 60).ok());
-
+  auto ref1 = BuildStreamPrefix(36);
+  auto ref2 = BuildStreamPrefix(60);
   const std::string dir = TempPath("persist_ckpt_crash");
   FaultInjectingFileSystem fs(FileSystem::Posix());
 
   // Measure the second checkpoint's write volume once.
   stdfs::remove_all(dir);
-  ASSERT_TRUE(ref1.Checkpoint(dir).ok());
+  ASSERT_TRUE(ref1->Checkpoint(dir).ok());
   fs.SetPlan(FaultPlan{});
-  ASSERT_TRUE(ref2.Checkpoint(dir, &fs).ok());
+  ASSERT_TRUE(ref2->Checkpoint(dir, &fs).ok());
   const uint64_t total_bytes = fs.bytes_written();
   ASSERT_GT(total_bytes, 0u);
 
   for (uint64_t t = 0; t < total_bytes; t += SweepStride(53)) {
     stdfs::remove_all(dir);
-    ASSERT_TRUE(ref1.Checkpoint(dir).ok());
+    ASSERT_TRUE(ref1->Checkpoint(dir).ok());
     FaultPlan plan;
     plan.write_fault = FaultPlan::WriteFault::kCrash;
     plan.trigger_bytes = t;
     fs.SetPlan(plan);
-    ASSERT_TRUE(ref2.Checkpoint(dir, &fs).ok());  // the zombie reports OK
+    ASSERT_TRUE(ref2->Checkpoint(dir, &fs).ok());  // the zombie reports OK
 
     auto recovered = MbiIndex::Recover(dir);  // "reboot" on the real fs
     ASSERT_TRUE(recovered.ok())
         << "crash at byte " << t << ": " << recovered.status().ToString();
-    EXPECT_TRUE(SameAnswers(ref1, *recovered.value()) ||
-                SameAnswers(ref2, *recovered.value()))
+    EXPECT_TRUE(SameAnswers(*ref1, *recovered.value()) ||
+                SameAnswers(*ref2, *recovered.value()))
         << "crash at byte " << t << " recovered neither checkpoint state";
+  }
+  stdfs::remove_all(dir);
+}
+
+// A second checkpoint that fails — short write, EIO or disk full at any
+// byte, or a one-shot flush/sync/close/rename failure — reports the error,
+// leaves no tmp file behind and leaves the first checkpoint recoverable.
+TEST(PersistCheckpointTest, WriteFaultsDuringCheckpointPreserveOldState) {
+  auto ref1 = BuildStreamPrefix(36);
+  auto ref2 = BuildStreamPrefix(60);
+  const std::string dir = TempPath("persist_ckpt_fault");
+  FaultInjectingFileSystem fs(FileSystem::Posix());
+  stdfs::remove_all(dir);
+  ASSERT_TRUE(ref1->Checkpoint(dir).ok());
+  fs.SetPlan(FaultPlan{});
+  ASSERT_TRUE(ref2->Checkpoint(dir, &fs).ok());
+  const uint64_t total_bytes = fs.bytes_written();
+
+  // Each attempt starts from the first checkpoint alone: segments a failed
+  // attempt published would otherwise be reused by the next one.
+  const auto expect_failure_keeps_first = [&](const FaultPlan& plan,
+                                              const std::string& what) {
+    stdfs::remove_all(dir);
+    ASSERT_TRUE(ref1->Checkpoint(dir).ok());
+    fs.SetPlan(plan);
+    EXPECT_FALSE(ref2->Checkpoint(dir, &fs).ok()) << what;
+    fs.SetPlan(FaultPlan{});
+    EXPECT_FALSE(HasTmpFiles(dir)) << what;
+    auto recovered = MbiIndex::Recover(dir);
+    ASSERT_TRUE(recovered.ok()) << what << ": "
+                                << recovered.status().ToString();
+    EXPECT_TRUE(SameAnswers(*ref1, *recovered.value())) << what;
+  };
+  for (auto fault : {FaultPlan::WriteFault::kShortWrite,
+                     FaultPlan::WriteFault::kEio,
+                     FaultPlan::WriteFault::kDiskFull}) {
+    for (uint64_t t = 0; t < total_bytes; t += SweepStride(97)) {
+      FaultPlan plan;
+      plan.write_fault = fault;
+      plan.trigger_bytes = t;
+      expect_failure_keeps_first(
+          plan, "fault " + std::to_string(static_cast<int>(fault)) +
+                    " at byte " + std::to_string(t));
+    }
+  }
+  for (int which = 0; which < 4; ++which) {
+    FaultPlan plan;
+    plan.fail_flush = which == 0;
+    plan.fail_sync = which == 1;
+    plan.fail_close = which == 2;
+    plan.fail_rename = which == 3;
+    expect_failure_keeps_first(plan, "one-shot fault " + std::to_string(which));
   }
   stdfs::remove_all(dir);
 }
@@ -803,10 +818,34 @@ TEST(PersistCheckpointTest, FileTruncationTortureFailsCleanOrExact) {
     ASSERT_TRUE(sane.ok()) << sane.status().ToString();
   }
 
-  // A deleted segment is a clean error, not a crash.
+  // A deferred read-side close error fails Recover: the bytes it parsed
+  // cannot be trusted.
+  FaultInjectingFileSystem fs(FileSystem::Posix());
+  FaultPlan plan;
+  plan.fail_read_close = true;
+  fs.SetPlan(plan);
+  EXPECT_FALSE(MbiIndex::Recover(dir, &fs).ok());
+
+  // A garbage MANIFEST, one cut in half and one stamped with the previous
+  // manifest version's magic are all DataLoss.
+  const std::string manifest = ReadFileBytes(dir + "/MANIFEST");
+  std::string retired = manifest;
+  retired.replace(0, 8, "MBIMAN01");
+  for (const std::string& bytes :
+       {std::string("this is not a manifest"),
+        manifest.substr(0, manifest.size() / 2), retired}) {
+    WriteFileBytes(dir + "/MANIFEST", bytes);
+    auto rejected = MbiIndex::Recover(dir);
+    ASSERT_FALSE(rejected.ok()) << bytes.size();
+    EXPECT_EQ(rejected.status().code(), StatusCode::kDataLoss)
+        << rejected.status().ToString();
+  }
+  WriteFileBytes(dir + "/MANIFEST", manifest);
+
+  // A deleted segment or a missing directory is a clean error, not a crash.
   ASSERT_TRUE(FileSystem::Posix()->DeleteFile(dir + "/segments/blk-0.seg").ok());
-  auto missing = MbiIndex::Recover(dir);
-  EXPECT_FALSE(missing.ok());
+  EXPECT_FALSE(MbiIndex::Recover(dir).ok());
+  EXPECT_FALSE(MbiIndex::Recover("/nonexistent/mbi-checkpoint").ok());
   stdfs::remove_all(dir);
 }
 

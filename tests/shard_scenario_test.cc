@@ -170,6 +170,20 @@ TEST(ShardScenarioConcurrent, CrashRequeryStormStaysValid) {
   opts.mode = RunMode::kConcurrent;
   const ScenarioOutcome outcome = MustRun(spec, opts);
   EXPECT_TRUE(outcome.ok()) << Violations(outcome);
+
+  // After the storm the target crashes once, comes back from its clean
+  // checkpoint (phase 5, apart from the storm's own recover in phase 1) and
+  // is backfilled to the full stream.
+  EXPECT_EQ(outcome.stats.crashes, 1u);
+  EXPECT_EQ(outcome.log.Count(scenario::EventKind::kCrash), 1u);
+  size_t crash_leg_recoveries = 0;
+  for (const scenario::Event& e : outcome.log.events()) {
+    if (e.kind == scenario::EventKind::kRecover && e.phase == 5) {
+      ++crash_leg_recoveries;
+    }
+  }
+  EXPECT_GE(crash_leg_recoveries, 1u);
+  EXPECT_EQ(outcome.stats.final_size, spec.adds);
 }
 
 // With an injected distance delay the storm's deadline-bounded queries are

@@ -4,9 +4,10 @@
 Drives `clang -Xclang -ast-dump=json` over the project's
 compile_commands.json and enforces the repo-specific invariants that keep
 scenario replay deterministic, budgets honest, and locking visible to the
-compiler. Unlike scripts/lint_invariants.py (regex over source text), every
-rule here is evaluated on the Clang AST: macros are expanded, typedefs are
-desugared, and call targets are resolved to qualified names.
+compiler. The AST rules are evaluated on the Clang AST: macros are
+expanded, typedefs are desugared, and call targets are resolved to
+qualified names. A few rules are best expressed over source text; they run
+over every file in the scan directories, with or without clang.
 
 Check catalog (rule names double as waiver keys):
 
@@ -44,13 +45,21 @@ Check catalog (rule names double as waiver keys):
     be MBI_GUARDED_BY-annotated. Unannotated fields are compared against
     tools/mbi_analyzer/ratchet.json, which may only shrink.
 
-  hygiene — outside src/util/ (folded in from lint_invariants.py, which now
-  keeps only text-level rules; rule names are unchanged so existing waivers
-  keep working):
+  hygiene — outside src/util/:
     naked-thread      std::thread/std::jthread construction
     naked-new         non-placement new-expressions
     raw-mutex         std::mutex/lock_guard/unique_lock/scoped_lock/
                       condition_variable and friends by type
+
+  text rules — run with or without clang:
+    ignore-status     (above) MBI_IGNORE_STATUS justification comments
+    unchecked-memcpy  memcpy whose length is neither an integer literal nor
+                      a sizeof-expression, outside src/persist/ — framed
+                      readers in persist/ validate lengths against the frame
+                      header; everywhere else a computed length must be
+                      visibly derived from sizeof or explicitly waived
+    header-guard      every header must open with #pragma once or an
+                      #ifndef/#define include guard
 
 Waivers use the existing syntax, on the finding line or the line above:
 
@@ -70,8 +79,11 @@ Usage:
         --compile-commands build/compile_commands.json [--jobs N]
         [--require-clang] [--update-ratchet] [--check-file f.cc --flags ...]
 
-Exit codes: 0 clean, 1 findings, 2 environment/usage error (no clang, no
--ast-dump=json support, unreadable compile db).
+Without a clang++ on the host only the text rules run (and judge their own
+waivers); --require-clang turns that into an error instead.
+
+Exit codes: 0 clean, 1 findings, 2 environment/usage error (no clang with
+--require-clang, no -ast-dump=json support, unreadable compile db).
 """
 
 from __future__ import annotations
@@ -94,16 +106,15 @@ TESTDATA = pathlib.Path(__file__).resolve().parent / "testdata"
 RATCHET_PATH = pathlib.Path(__file__).resolve().parent / "ratchet.json"
 SCAN_DIRS = ("src", "tests", "bench", "examples")
 
-# Rules owned by this analyzer. lint_invariants.py owns the text-level
-# rules; both tools accept the union as *known* so a waiver for the other
-# tool is never reported as unknown here.
+# Every rule this analyzer enforces (rule names double as waiver keys). The
+# text rules need no clang, so a clang-less run still judges them and their
+# waivers.
+TEXT_RULES = frozenset({"ignore-status", "unchecked-memcpy", "header-guard"})
 ANALYZER_RULES = frozenset({
     "wall-clock", "unseeded-entropy", "pointer-key", "budget-charge",
-    "unchecked-result", "ignore-status", "lock-coverage",
+    "unchecked-result", "lock-coverage",
     "naked-thread", "naked-new", "raw-mutex",
-})
-TEXT_LINT_RULES = frozenset({"unchecked-memcpy", "header-guard"})
-KNOWN_RULES = ANALYZER_RULES | TEXT_LINT_RULES
+}) | TEXT_RULES
 
 ALLOW_RE = re.compile(r"//\s*mbi-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 
@@ -188,14 +199,20 @@ def active_rules(rel: str) -> frozenset:
     parts = pathlib.PurePosixPath(rel).parts
     if not parts:
         return frozenset()
-    # Self-test fixtures get the full rule set (maximum strictness).
+    # Self-test fixtures get the full rule set (maximum strictness); only
+    # headers can lack a header guard.
     if parts[0] == "tools":
-        return ANALYZER_RULES
+        return ANALYZER_RULES if rel.endswith(".h") else \
+            ANALYZER_RULES - {"header-guard"}
     rules = {"unchecked-result", "ignore-status", "lock-coverage"}
     in_util = parts[:2] == ("src", "util")
     if not in_util:
         rules |= {"wall-clock", "unseeded-entropy", "pointer-key",
                   "naked-thread", "naked-new", "raw-mutex"}
+    if parts[:2] != ("src", "persist"):
+        rules.add("unchecked-memcpy")
+    if rel.endswith(".h"):
+        rules.add("header-guard")
     if (parts[0] == "src" and parts[1:2] and
             parts[1] not in ("util", "eval", "data")) or parts[0] == "bench":
         rules.add("budget-charge")
@@ -795,11 +812,13 @@ class TuAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# Text-level pass (runs on every analyzed repo file): MBI_IGNORE_STATUS
-# justification comments. Kept in the analyzer (not lint_invariants.py)
-# because the waiver/justification policy is part of the status-flow family.
+# Text-level pass (runs on every scanned repo file, with or without clang):
+# MBI_IGNORE_STATUS justification comments, memcpy lengths, header guards.
 
 IGNORE_STATUS_RE = re.compile(r"\bMBI_IGNORE_STATUS\s*\(")
+MEMCPY_RE = re.compile(r"\bmemcpy\s*\(")
+TRUSTED_LEN_RE = re.compile(r"sizeof\b|^\s*\d+\s*$")
+HEADER_GUARD_RE = re.compile(r"#ifndef\s+\w+\s*\n\s*#define\s+\w+")
 
 
 def scan_ignore_status(rel: str, lines: list[str]) -> list[Finding]:
@@ -820,6 +839,82 @@ def scan_ignore_status(rel: str, lines: list[str]) -> list[Finding]:
                 rel, i + 1, "ignore-status",
                 "MBI_IGNORE_STATUS without a justification comment on this "
                 "line or the line above"))
+    return out
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blanks comments and string/char literals, preserving line structure."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c == "/" and i + 1 < n and text[i + 1] == "/":
+            j = text.find("\n", i)
+            j = n if j == -1 else j
+            out.append(" " * (j - i))
+            i = j
+        elif c == "/" and i + 1 < n and text[i + 1] == "*":
+            j = text.find("*/", i + 2)
+            j = n if j == -1 else j + 2
+            out.append("".join("\n" if ch == "\n" else " " for ch in text[i:j]))
+            i = j
+        elif c in "\"'":
+            quote = c
+            j = i + 1
+            while j < n and text[j] != quote:
+                j += 2 if text[j] == "\\" else 1
+            j = min(j + 1, n)
+            out.append(quote + " " * (j - i - 2) + (quote if j - i >= 2 else ""))
+            i = j
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def extract_call_args(code: str, open_paren: int) -> list[str]:
+    """Splits the top-level comma-separated args of the call at `open_paren`."""
+    depth, args, start = 0, [], open_paren + 1
+    for i in range(open_paren, len(code)):
+        c = code[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+            if depth == 0:
+                args.append(code[start:i])
+                return args
+        elif c == "," and depth == 1:
+            args.append(code[start:i])
+            start = i + 1
+    return args
+
+
+def scan_text_rules(rel: str, lines: list[str]) -> list[Finding]:
+    """unchecked-memcpy and header-guard findings for one file."""
+    out = []
+    rules = active_rules(rel)
+    text = "\n".join(lines)
+    if "header-guard" in rules:
+        head = "\n".join(lines[:50])
+        if "#pragma once" not in head and not HEADER_GUARD_RE.search(head):
+            out.append(Finding(
+                rel, 1, "header-guard",
+                "header lacks #pragma once or an include guard"))
+    if "unchecked-memcpy" in rules:
+        code = strip_comments_and_strings(text)
+        for m in MEMCPY_RE.finditer(code):
+            args = extract_call_args(code, m.end() - 1)
+            if len(args) != 3:
+                continue  # not the 3-arg libc memcpy
+            length = args[2].strip()
+            if not TRUSTED_LEN_RE.search(length):
+                out.append(Finding(
+                    rel, code.count("\n", 0, m.start()) + 1,
+                    "unchecked-memcpy",
+                    "memcpy length `%s` is neither a literal nor "
+                    "sizeof-derived; validate it or move the parse into a "
+                    "persist/ framed reader" % " ".join(length.split())))
     return out
 
 
@@ -865,8 +960,10 @@ def apply_waivers(findings, file_lines):
     return kept, consumed
 
 
-def scan_waiver_rot(all_files, file_lines, consumed) -> list[Finding]:
-    """Stale analyzer-rule waivers and unknown rule names."""
+def scan_waiver_rot(all_files, file_lines, consumed,
+                    judged=ANALYZER_RULES) -> list[Finding]:
+    """Stale waivers for the `judged` rules (the rules whose findings this
+    run produced) and unknown rule names."""
     out = []
     for rel in sorted(all_files):
         lines = file_lines.get(rel, [])
@@ -875,12 +972,12 @@ def scan_waiver_rot(all_files, file_lines, consumed) -> list[Finding]:
             if not m:
                 continue
             for rule in (r.strip() for r in m.group(1).split(",")):
-                if rule not in KNOWN_RULES:
+                if rule not in ANALYZER_RULES:
                     out.append(Finding(
                         rel, i, "unknown-waiver",
                         "waiver names unknown rule '%s' (known: %s)"
-                        % (rule, ", ".join(sorted(KNOWN_RULES)))))
-                elif rule in ANALYZER_RULES and \
+                        % (rule, ", ".join(sorted(ANALYZER_RULES)))))
+                elif rule in judged and \
                         rule in active_rules(rel) and \
                         (rel, i, rule) not in consumed and \
                         (rel, i + 1, rule) not in consumed:
@@ -1125,12 +1222,8 @@ def run_analysis(tus, clang, jobs, update_ratchet, verbose=False,
     """`scope`, when given, is a set of repo-relative paths: findings, the
     text pass, waiver-rot scanning and lock facts are all restricted to
     those files (self-test mode analyzes fixtures without dragging the rest
-    of the tree in)."""
-    clang_version = subprocess.run(
-        [clang, "--version"], capture_output=True, text=True).stdout
-    cache_dir = pathlib.Path(
-        os.environ.get("MBI_ANALYZER_CACHE",
-                       str(REPO / "build" / ".mbi_analyzer_cache")))
+    of the tree in). With `clang` None only the text rules run: no AST
+    walk, no ratchet, and only text-rule waivers are judged stale."""
 
     findings: list[Finding] = []
     seen_keys = set()
@@ -1149,16 +1242,23 @@ def run_analysis(tus, clang, jobs, update_ratchet, verbose=False,
             lock_facts.setdefault(key, site)
         files_seen.update(facts["files_seen"])
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(analyze_tu_cached, tu, clang, clang_version,
-                               cache_dir): tu for tu in tus}
-        for fut in concurrent.futures.as_completed(futures):
-            facts, was_cached = fut.result()
-            cached_hits += was_cached
-            merge(facts)
-    if verbose:
-        print("mbi-analyzer: %d TU(s), %d from cache" %
-              (len(tus), cached_hits), file=sys.stderr)
+    if clang is not None:
+        clang_version = subprocess.run(
+            [clang, "--version"], capture_output=True, text=True).stdout
+        cache_dir = pathlib.Path(
+            os.environ.get("MBI_ANALYZER_CACHE",
+                           str(REPO / "build" / ".mbi_analyzer_cache")))
+        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+            futures = {pool.submit(analyze_tu_cached, tu, clang,
+                                   clang_version, cache_dir): tu
+                       for tu in tus}
+            for fut in concurrent.futures.as_completed(futures):
+                facts, was_cached = fut.result()
+                cached_hits += was_cached
+                merge(facts)
+        if verbose:
+            print("mbi-analyzer: %d TU(s), %d from cache" %
+                  (len(tus), cached_hits), file=sys.stderr)
 
     if scope is not None:
         findings = [f for f in findings if f.file in scope]
@@ -1176,7 +1276,8 @@ def run_analysis(tus, clang, jobs, update_ratchet, verbose=False,
                           if tus else all_repo_files)
     file_lines = {rel: load_lines(REPO / rel) for rel in scan_set}
     for rel in scan_set:
-        for f in scan_ignore_status(rel, file_lines[rel]):
+        for f in (scan_ignore_status(rel, file_lines[rel]) +
+                  scan_text_rules(rel, file_lines[rel])):
             if f.key() not in seen_keys:
                 seen_keys.add(f.key())
                 findings.append(f)
@@ -1199,9 +1300,12 @@ def run_analysis(tus, clang, jobs, update_ratchet, verbose=False,
                     break
         if not waived:
             lock_kept[key] = site
-    kept.extend(check_ratchet(lock_kept, update_ratchet, ratchet_path))
+    if clang is not None:
+        kept.extend(check_ratchet(lock_kept, update_ratchet, ratchet_path))
 
-    kept.extend(scan_waiver_rot(all_repo_files, file_lines, consumed))
+    kept.extend(scan_waiver_rot(
+        all_repo_files, file_lines, consumed,
+        ANALYZER_RULES if clang is not None else TEXT_RULES))
     kept.sort(key=lambda f: (f.file, f.line, f.rule))
     return kept
 
@@ -1237,11 +1341,14 @@ def main(argv=None) -> int:
                ".github/workflows/ci.yml) to run the AST checks locally."
                % ", ".join(CLANG_CANDIDATES))
         print(msg, file=sys.stderr)
-        return 2 if args.require_clang else 0
-    err = probe_clang(clang)
-    if err is not None:
-        print("mbi-analyzer: " + err, file=sys.stderr)
-        return 2
+        if args.require_clang:
+            return 2
+        print("mbi-analyzer: running the text rules only", file=sys.stderr)
+    else:
+        err = probe_clang(clang)
+        if err is not None:
+            print("mbi-analyzer: " + err, file=sys.stderr)
+            return 2
 
     scope = None
     if args.check_file:
@@ -1252,6 +1359,8 @@ def main(argv=None) -> int:
                 "args": [clang] + flags + [str(p.resolve())]}
                for p in args.check_file]
         scope = {tu["rel"] for tu in tus}
+    elif clang is None:
+        tus = []
     else:
         if not args.compile_commands.exists():
             print("mbi-analyzer: %s not found; configure cmake first "
@@ -1269,12 +1378,13 @@ def main(argv=None) -> int:
                             scope=scope)
     for f in findings:
         print("%s:%d: [%s] %s" % (f.file, f.line, f.rule, f.message))
+    what = "%d TU(s)" % len(tus) if clang is not None else "text rules only"
     if findings:
-        print("\nmbi-analyzer: %d finding(s) across %d TU(s). Waive "
-              "intentional sites with `// mbi-lint: allow(<rule>) — why`."
-              % (len(findings), len(tus)), file=sys.stderr)
+        print("\nmbi-analyzer: %d finding(s) (%s). Waive intentional sites "
+              "with `// mbi-lint: allow(<rule>) — why`."
+              % (len(findings), what), file=sys.stderr)
         return 1
-    print("mbi-analyzer: OK (%d TU(s))" % len(tus))
+    print("mbi-analyzer: OK (%s)" % what)
     return 0
 
 

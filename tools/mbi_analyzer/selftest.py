@@ -4,11 +4,13 @@
 Two suites:
 
   unit      No clang needed. Exercises the pure-Python machinery — rule
-            scoping, type parsing, waiver bookkeeping, the ratchet, the
-            MBI_IGNORE_STATUS text pass — and drives the AST walker over a
-            hand-built clang-JSON document (delta-encoded locations, macro
-            spelling/expansion pairs, bare decl references), asserting the
-            expected findings and lock facts come out.
+            scoping, type parsing, waiver bookkeeping, the ratchet, the text
+            rules (MBI_IGNORE_STATUS, memcpy lengths, header guards, and a
+            clang-less end-to-end run over the text-rule fixture) — and
+            drives the AST walker over a hand-built clang-JSON document
+            (delta-encoded locations, macro spelling/expansion pairs, bare
+            decl references), asserting the expected findings and lock
+            facts come out.
 
   fixtures  Needs a clang that supports `-Xclang -ast-dump=json`; exits 77
             (the ctest SKIP_RETURN_CODE) when none is found, mirroring how
@@ -70,8 +72,16 @@ def unit_scoping():
           "status-flow rules apply everywhere, util/ included")
     check("raw-mutex" not in ar("src/util/mutex.h"),
           "hygiene rules must be inactive in src/util/")
-    check(ar("tools/mbi_analyzer/testdata/x.cc") == mba.ANALYZER_RULES,
-          "fixtures get the full rule set")
+    check(ar("tools/mbi_analyzer/testdata/x.cc") ==
+          mba.ANALYZER_RULES - {"header-guard"},
+          "fixtures get the full rule set (header-guard on headers only)")
+    check("unchecked-memcpy" not in ar("src/persist/log.cc"),
+          "unchecked-memcpy must be inactive in src/persist/ (framed readers)")
+    check("unchecked-memcpy" in ar("src/mbi/mbi_io.cc"),
+          "unchecked-memcpy must be active outside src/persist/")
+    check("header-guard" in ar("src/mbi/mbi_index.h") and
+          "header-guard" not in ar("src/mbi/mbi_index.cc"),
+          "header-guard applies to headers only")
 
 
 def unit_type_parsing():
@@ -115,7 +125,7 @@ def unit_waivers():
         "int b;",
         "int c;  // mbi-lint: allow(wall-clock) — stale",
         "int d;  // mbi-lint: allow(bogus-rule)",
-        "int e;  // mbi-lint: allow(header-guard) — other tool's rule",
+        "int e;  // mbi-lint: allow(header-guard) — inactive in a .cc",
     ]
     check(mba.waivers_for_line(lines, 3) == {"naked-new", "raw-mutex"},
           "line-above waiver parses a rule list")
@@ -132,8 +142,71 @@ def unit_waivers():
     rot = mba.scan_waiver_rot({"f.cc"}, {"f.cc": lines}, consumed)
     got = {(f.line, f.rule) for f in rot}
     check(got == {(4, "stale-waiver"), (5, "unknown-waiver")},
-          "stale + unknown waivers reported, other-tool rules left alone "
-          "(got %s)" % sorted(got))
+          "stale + unknown waivers reported, rules inactive in the file left "
+          "alone (got %s)" % sorted(got))
+    rot = mba.scan_waiver_rot({"f.cc"}, {"f.cc": lines}, consumed,
+                              mba.TEXT_RULES)
+    check({(f.line, f.rule) for f in rot} == {(5, "unknown-waiver")},
+          "a clang-less run leaves AST-rule waivers unjudged")
+
+
+def unit_text_rules():
+    lines = [
+        "void F(char* d, const char* s, size_t n) {",
+        "  memcpy(d, s, n);",
+        "  memcpy(d, s, sizeof(float) * 4);",
+        "  memcpy(d, s, 16);",
+        "  // memcpy(d, s, n) in a comment",
+        "  memcpy(d, s, n);  // mbi-lint: allow(unchecked-memcpy) — checked",
+        "  int z = 0;  // mbi-lint: allow(unchecked-memcpy) — stale",
+        "}",
+    ]
+    found = mba.scan_text_rules("src/mbi/x.cc", lines)
+    check([(f.line, f.rule) for f in found] ==
+          [(2, "unchecked-memcpy"), (6, "unchecked-memcpy")],
+          "computed memcpy lengths are flagged, sizeof/literals and comments "
+          "are not (got %s)" % [(f.line, f.rule) for f in found])
+    check(not mba.scan_text_rules("src/persist/x.cc", lines),
+          "src/persist/ memcpy lengths are checked by the framed readers")
+    kept, consumed = mba.apply_waivers(found, {"src/mbi/x.cc": lines})
+    check([f.line for f in kept] == [2], "the waived memcpy is suppressed")
+    rot = mba.scan_waiver_rot({"src/mbi/x.cc"}, {"src/mbi/x.cc": lines},
+                              consumed, mba.TEXT_RULES)
+    check([(f.line, f.rule) for f in rot] == [(7, "stale-waiver")],
+          "a text-rule waiver that suppresses nothing is stale (got %s)"
+          % [(f.line, f.rule) for f in rot])
+
+    bare = ["// no guard", "struct S {};"]
+    guarded = ["// ok", "#ifndef X_H_", "#define X_H_", "#endif"]
+    check([f.rule for f in mba.scan_text_rules("src/x.h", bare)] ==
+          ["header-guard"], "an unguarded header is flagged")
+    check(not mba.scan_text_rules("src/x.h", guarded) and
+          not mba.scan_text_rules("src/y.h", ["#pragma once"]),
+          "#ifndef/#define and #pragma once both count as guards")
+
+
+def unit_text_only_run():
+    """No clang at all: the text rules still run and set the exit code."""
+    fixture = TESTDATA / "text_rules_bad.cc"
+    rel = str(fixture.relative_to(mba.REPO))
+    expected = {(rel, i, m.group(1))
+                for i, line in enumerate(fixture.read_text().splitlines(), 1)
+                for m in [DIRECTIVE_RE.search(line)] if m}
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = mba.main(["--clang", "mbi-no-such-clang++",
+                       "--check-file", str(fixture)])
+    got = {(m.group(1), int(m.group(2)), m.group(3))
+           for m in map(FINDING_RE.match, buf.getvalue().splitlines()) if m}
+    check(rc == 1, "a clang-less run with findings exits 1 (got %d)" % rc)
+    check(got == expected, "clang-less findings: want %s, got %s"
+          % (sorted(expected), sorted(got)))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = mba.main(["--clang", "mbi-no-such-clang++", "--require-clang",
+                       "--check-file", str(fixture)])
+    check(rc == 2, "--require-clang without clang exits 2 (got %d)" % rc)
 
 
 def unit_ratchet():
@@ -374,6 +447,8 @@ def run_unit():
     unit_type_parsing()
     unit_ignore_status()
     unit_waivers()
+    unit_text_rules()
+    unit_text_only_run()
     unit_ratchet()
     unit_walker()
     unit_walker_charged()

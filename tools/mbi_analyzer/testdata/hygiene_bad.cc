@@ -1,5 +1,5 @@
-// Fixture: the three hygiene rules folded in from lint_invariants.py —
-// now AST facts instead of regex approximations.
+// Fixture: the three hygiene rules, checked as AST facts rather than
+// regex approximations.
 #include <mutex>
 #include <thread>
 
